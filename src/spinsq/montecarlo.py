@@ -1,12 +1,10 @@
 """Trial simulator: empirical estimator distributions and sweep tables.
 
-Each trial performs one full end-to-end measurement simulation (fresh
-datasets, fresh seeded generator) and records the composed parameter
-estimate.  The hot path skips the dataset objects: it draws the identical
-uniform stream the collectors in :mod:`spinsq.schemes` would consume and
-reduces it through the kernels in :mod:`spinsq._kernels`, so a trial value
-is bit-for-bit equal to running ``collect_datasets`` + ``estimate_parameter``
-with the same generator state.
+Each trial performs one full end-to-end measurement simulation: it collects
+fresh datasets with ``collect_datasets`` on a freshly seeded generator and
+records the parameter ``estimate_parameter`` composes from them.  The
+collectors in :mod:`spinsq.schemes` document the order in which they draw
+from the generator.
 
 Reproducibility contract: trial ``t`` uses an independent generator seeded
 with ``child_seed(master_seed, t)`` (a splitmix64 step, documented below),
@@ -25,37 +23,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import _kernels
 from .hypothesis import required_budget
 from .schemes import (
     SCHEMA_VERSION,
     Parameter,
     Scheme,
-    compose_parameter,
-    ordered_pairs,
-    sample_cost,
-    split_directions,
-    square_pairs,
-    _ap_dj2,
-    _ap_j2,
-    _needed_blocks,
-    _rp_dj2,
-    _rp_j2,
-    _rsplit_jsq,
-    _split_jsq,
-    _ts_dj2,
-    _ts_j2,
+    collect_datasets,
+    estimate_parameter,
 )
-from .states import (
-    DIRECTIONS,
-    DepolarizedMixture,
-    DickeState,
-    ManyBodySinglet,
-    StateModel,
-    joint_pair_cuts,
-    single_plus_cuts,
-    ts_sampling_table,
-)
+from .states import DepolarizedMixture, DickeState, ManyBodySinglet, StateModel
 from .variance import VarianceReport, parameter_value, var_parameter
 
 __all__ = [
@@ -112,146 +88,6 @@ def _as_parameter(parameter) -> Parameter:
     if isinstance(parameter, str):
         return Parameter.parse(parameter)
     return parameter
-
-
-# --------------------------------------------------------------------------
-# trial plan
-# --------------------------------------------------------------------------
-
-
-class _TrialPlan:
-    """Precomputed cut tables plus a reducer mirroring the collectors.
-
-    The uniform stream is consumed in exactly the collector order (directions
-    x, y, z; slots ascending; repetitions consecutive; pair data before split
-    data), which is what makes the fast path bit-identical to the dataset
-    path.
-    """
-
-    def __init__(self, state, scheme, parameter, k, l):
-        self.scheme = Scheme(scheme)
-        self.parameter = _as_parameter(parameter)
-        self.n = state.n_qubits
-        self.k = k
-        self.l = l
-        self.j2_axes, self.dj2_axes = _needed_blocks(self.parameter)
-        self.split_dirs = (
-            split_directions(self.parameter)
-            if self.scheme in (Scheme.AP2, Scheme.RP2)
-            else ()
-        )
-        n = self.n
-
-        if self.scheme is Scheme.TS:
-            if k is None or k < 2:
-                raise ValueError("total-spin collection needs K >= 2")
-            self.ts_cuts = {ax: ts_sampling_table(state, ax)[1] for ax in DIRECTIONS}
-            self.budget = {"k": k}
-            return
-
-        if self.scheme in (Scheme.AP1, Scheme.AP2):
-            if k is None or k < 2:
-                raise ValueError("all-pairs collection needs K >= 2")
-            self.pair_cuts = {
-                ax: self._pair_cut_table(state, ax, ordered_pairs(n))
-                for ax in DIRECTIONS
-            }
-            if self.split_dirs:
-                if k % 2:
-                    raise ValueError("split collection needs an even K >= 2")
-                self._build_split(state, square_pairs(n))
-            self.budget = {"k": k}
-            return
-
-        if l is None or l < 2:
-            raise ValueError("random-pair collection needs L >= 2")
-        if k is None or k < 1:
-            raise ValueError("random-pair collection needs K >= 1")
-        self.pair_cuts = {
-            ax: self._pair_cut_table(state, ax, ordered_pairs(n)) for ax in DIRECTIONS
-        }
-        if self.split_dirs:
-            if k < 2 or k % 2:
-                raise ValueError("random-split collection needs an even K >= 2")
-            self.plus_cuts = {ax: single_plus_cuts(state, ax) for ax in self.split_dirs}
-        self.budget = {"l": l, "k": k}
-
-    @staticmethod
-    def _pair_cut_table(state, axis, table):
-        # same float64 inputs as the per-slot sampler, evaluated elementwise
-        a = np.asarray(state._singles(axis), dtype=np.float64)
-        c = np.asarray(state._pairs(axis), dtype=np.float64)
-        i, j = table[:, 0], table[:, 1]
-        return np.ascontiguousarray(joint_pair_cuts(a[i], a[j], c[i, j]))
-
-    def _build_split(self, state, table):
-        i, j = table[:, 0], table[:, 1]
-        self.split_first = {}
-        self.split_second = {}
-        for ax in self.split_dirs:
-            plus = single_plus_cuts(state, ax)
-            self.split_first[ax] = np.ascontiguousarray(plus[i])
-            self.split_second[ax] = np.ascontiguousarray(plus[j])
-
-    def run(self, rng: np.random.Generator) -> float:
-        n, k, l = self.n, self.k, self.l
-        j2 = {}
-        dj2 = {}
-
-        if self.scheme is Scheme.TS:
-            for ax in DIRECTIONS:
-                s1, s2 = _kernels.total_spin_reduce(rng.random(k), self.ts_cuts[ax], n)
-                if ax in self.j2_axes:
-                    j2[ax] = _ts_j2(s2, k)
-                if ax in self.dj2_axes:
-                    dj2[ax] = _ts_dj2(s1, s2, k)
-
-        elif self.scheme in (Scheme.AP1, Scheme.AP2):
-            m = n * (n - 1)
-            sums = {
-                ax: _kernels.pairs_reduce(rng.random(m * k), self.pair_cuts[ax], k)
-                for ax in DIRECTIONS
-            }
-            split_prod = {
-                ax: _kernels.split_reduce(
-                    rng.random(n * n * k), self.split_first[ax], self.split_second[ax], k
-                )
-                for ax in self.split_dirs
-            }
-            for ax in self.j2_axes:
-                j2[ax] = _ap_j2(sums[ax][0], n, k)
-            if self.scheme is Scheme.AP1:
-                for ax in self.dj2_axes:
-                    dj2[ax] = _ap_dj2(*sums[ax], n, k)
-            else:
-                for ax in self.dj2_axes:
-                    dj2[ax] = _ap_j2(sums[ax][0], n, k) - _split_jsq(split_prod[ax], k)
-
-        else:
-            sums = {}
-            for ax in DIRECTIONS:
-                u_idx = rng.random(l)
-                u_out = rng.random(l * k)
-                sums[ax] = _kernels.rand_pairs_reduce(u_idx, u_out, self.pair_cuts[ax], k)
-            split_prod = {}
-            for ax in self.split_dirs:
-                u_idx = rng.random(l)
-                u_out = rng.random(l * k)
-                split_prod[ax] = _kernels.rand_split_reduce(
-                    u_idx, u_out, self.plus_cuts[ax], k
-                )
-            for ax in self.j2_axes:
-                j2[ax] = _rp_j2(sums[ax][0], n, k, l)
-            if self.scheme is Scheme.RP1:
-                for ax in self.dj2_axes:
-                    dj2[ax] = _rp_dj2(*sums[ax], n, k, l)
-            else:
-                for ax in self.dj2_axes:
-                    dj2[ax] = _rp_j2(sums[ax][0], n, k, l) - _rsplit_jsq(
-                        split_prod[ax], n, k, l
-                    )
-
-        return float(compose_parameter(self.parameter, n, j2, dj2))
 
 
 # --------------------------------------------------------------------------
@@ -373,14 +209,19 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
         raise ValueError("need at least two trials")
     scheme = Scheme(scheme)
     parameter = _as_parameter(parameter)
-    plan = _TrialPlan(state, scheme, parameter, k, l)
+    budget = {"k": k} if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2) else {
+        "l": l,
+        "k": k,
+    }
 
     values = np.empty(trials, dtype=np.float64)
 
     def run_range(bounds):
         lo, hi = bounds
         for t in range(lo, hi):
-            values[t] = plan.run(child_generator(master_seed, t))
+            rng = child_generator(master_seed, t)
+            datasets = collect_datasets(state, scheme, parameter, rng, k=k, l=l)
+            values[t] = estimate_parameter(scheme, parameter, datasets).value
 
     workers = threads if threads > 0 else min(os.cpu_count() or 1, 8)
     if workers <= 1 or trials < 4 * workers:
@@ -398,7 +239,7 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
     if anchor is None:
         anchor = parameter_value(state, parameter) - (bins / 2) * bin_width
     hist = histogram(values, bins, bin_width, anchor)
-    config = _run_config(state, scheme, parameter, plan.budget, trials)
+    config = _run_config(state, scheme, parameter, budget, trials)
     return TrialStats(trials, mean, emp_var, hist, master_seed, config)
 
 

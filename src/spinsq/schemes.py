@@ -15,12 +15,15 @@ All outcomes are stored integer-encoded (``2m`` for collective outcomes,
 ``2s = ±1`` for single qubits) so estimator numerators and denominators are
 exact integers with a single final division.
 
-Draw-order contract (shared with the fast trial path in ``montecarlo``):
-directions are consumed in the order listed by the dataset (x, y, z unless a
-subset is requested); within a direction, slots in ascending order with all
-repetitions of a slot consecutive; split patterns consume the first-member
-series then the second-member series of a slot; random patterns consume the
-slot-index uniforms of a direction as one block before any outcome draws.
+Draw-order contract of the collectors: directions are consumed in the order
+listed by the dataset (x, y, z unless a subset is requested); within a
+direction, slots in ascending order with all repetitions of a slot
+consecutive; split patterns consume the first-member series then the
+second-member series of a slot; random patterns consume the slot-index
+uniforms of a direction as one block before any outcome draws.  Each
+direction's outcome uniforms are drawn as one block, which yields the same
+stream, and the same record, as calling ``sample_total_spin``,
+``sample_pair`` or ``sample_single`` once per slot in that order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,9 +40,9 @@ import numpy as np
 from .states import (
     DIRECTIONS,
     Direction,
-    sample_pair,
-    sample_single,
-    sample_total_spin,
+    _pair_cut_columns,
+    _single_cuts,
+    _total_spin_cuts,
 )
 
 SCHEMA_VERSION = 1
@@ -122,19 +124,27 @@ class Parameter:
         return f"{self.kind.value}:{roles}"
 
 
-def ordered_pairs(n: int) -> np.ndarray:
-    """All N(N-1) ordered distinct index pairs in slot (lexicographic) order."""
-    idx = np.arange(n * (n - 1))
+def _ordered_pair_slots(idx, n: int) -> np.ndarray:
+    """The ``(i, j)`` rows of ordered distinct pair slots ``idx``."""
     i = idx // (n - 1)
     r = idx % (n - 1)
     j = r + (r >= i)
-    return np.stack([i, j], axis=1).astype(np.int64)
+    return np.stack([i, j], axis=1).astype(np.int64, copy=False)
+
+
+def _square_slots(idx, n: int) -> np.ndarray:
+    """The ``(i, j)`` rows of full-square cell slots ``idx``."""
+    return np.stack([idx // n, idx % n], axis=1).astype(np.int64, copy=False)
+
+
+def ordered_pairs(n: int) -> np.ndarray:
+    """All N(N-1) ordered distinct index pairs in slot (lexicographic) order."""
+    return _ordered_pair_slots(np.arange(n * (n - 1)), n)
 
 
 def square_pairs(n: int) -> np.ndarray:
     """All N^2 ordered index pairs (diagonal included) in slot order."""
-    idx = np.arange(n * n)
-    return np.stack([idx // n, idx % n], axis=1).astype(np.int64)
+    return _square_slots(np.arange(n * n), n)
 
 
 def split_directions(parameter: Parameter) -> tuple:
@@ -198,7 +208,10 @@ class TotalSpinDataset:
         for axis, arr in blocks.items():
             if arr.shape != (self.k,):
                 raise ValueError(f"direction {axis.value}: expected {self.k} outcomes")
-            if arr.size and (np.abs(arr).max() > n or ((arr + n) % 2).any()):
+            # min/max, not abs: abs(-2**63) overflows to a negative value
+            if arr.size and (
+                arr.min() < -n or arr.max() > n or ((arr + n) & 1).any()
+            ):
                 raise ValueError(
                     f"direction {axis.value}: outcomes must be 2m with |2m| <= N "
                     "and the parity of N"
@@ -385,37 +398,69 @@ class EstimateResult:
 # --------------------------------------------------------------------------
 
 
+def _categories(cuts, u):
+    """Inversion categories: how many of the ascending ``cuts`` are ``<= u``.
+
+    Equal to ``np.searchsorted(cuts, u, side="right")``, and faster for the
+    short cut tables of the total-spin distributions.
+    """
+    below = cuts[:, None] <= u
+    return below.sum(axis=0, dtype=np.min_scalar_type(len(cuts)))
+
+
+def _pair_outcomes(cuts, u):
+    """Encoded joint outcomes of pair runs with uniforms ``u``.
+
+    ``cuts`` holds the three joint cut points, each broadcastable against
+    ``u``.  The category is the number of cuts ``<= u``, in the order
+    ``(+,+), (+,-), (-,+), (-,-)``: the first member is -1 from the second
+    cut on, the second member when an odd number of cuts are ``<= u``.
+    """
+    c0, c1, c2 = cuts
+    first_minus = c1 <= u
+    second_minus = (c0 <= u) ^ first_minus ^ (c2 <= u)
+    return 1 - 2 * first_minus.astype(np.int64), 1 - 2 * second_minus.astype(np.int64)
+
+
+def _single_outcomes(cut, u):
+    """Encoded single-qubit outcomes: -1 where ``cut <= u``."""
+    return 1 - 2 * (cut <= u).astype(np.int64)
+
+
+def _random_slots(rng, l, cells):
+    """L uniformly drawn slot indices in ``[0, cells)``, one uniform each."""
+    return np.minimum((rng.random(l) * cells).astype(np.int64), cells - 1)
+
+
 def collect_total_spin(state, k, rng) -> TotalSpinDataset:
     """K collective outcomes per direction (3K preparations in total)."""
-    if k < 2:
+    if k is None or k < 2:
         raise ValueError("total-spin collection needs K >= 2")
+    n = state.n_qubits
     blocks = {}
     for axis in DIRECTIONS:
-        blocks[axis] = sample_total_spin(state, axis, rng, size=k)
-    return TotalSpinDataset(state.n_qubits, blocks, k=k)
+        g = _categories(_total_spin_cuts(state, axis), rng.random(k))
+        blocks[axis] = 2 * g.astype(np.int64) - n  # category g encodes 2m = 2g - N
+    return TotalSpinDataset(n, blocks, k=k)
 
 
 def collect_all_pairs(state, k, rng) -> PairDataset:
     """K joint outcomes for each ordered distinct pair and direction."""
-    if k < 2:
+    if k is None or k < 2:
         raise ValueError("all-pairs collection needs K >= 2")
     n = state.n_qubits
-    pairs = ordered_pairs(n)
     first = {}
     second = {}
     for axis in DIRECTIONS:
-        f = np.empty((len(pairs), k), dtype=np.int64)
-        s = np.empty((len(pairs), k), dtype=np.int64)
-        for slot, (i, j) in enumerate(pairs):
-            f[slot], s[slot] = sample_pair(state, axis, int(i), int(j), rng, size=k)
-        first[axis] = f
-        second[axis] = s
+        cuts = [c[:, None] for c in _pair_cut_columns(state, axis)]
+        u = rng.random((n * (n - 1), k))
+        first[axis], second[axis] = _pair_outcomes(cuts, u)
     return PairDataset(n, first, second, k=k)
 
 
 def collect_split_single(state, k, rng, directions=DIRECTIONS) -> SplitSingleDataset:
     """Split single-qubit runs over the full index square (K even)."""
-    if k < 2 or k % 2:
+    if k is None or k < 2 or k % 2:
         raise ValueError("split collection needs an even K >= 2")
     n = state.n_qubits
     half = k // 2
@@ -423,13 +468,11 @@ def collect_split_single(state, k, rng, directions=DIRECTIONS) -> SplitSingleDat
     second = {}
     for axis in directions:
         axis = Direction(axis)
-        f = np.empty((n * n, half), dtype=np.int64)
-        s = np.empty((n * n, half), dtype=np.int64)
-        for slot, (i, j) in enumerate(square_pairs(n)):
-            f[slot] = sample_single(state, axis, int(i), rng, size=half)
-            s[slot] = sample_single(state, axis, int(j), rng, size=half)
-        first[axis] = f
-        second[axis] = s
+        cuts = _single_cuts(state, axis)
+        u = rng.random((n, n, k))  # cell (i, j) is slot i * n + j
+        f = _single_outcomes(cuts[:, None, None], u[:, :, :half])
+        s = _single_outcomes(cuts[None, :, None], u[:, :, half:])
+        first[axis], second[axis] = f.reshape(n * n, half), s.reshape(n * n, half)
     return SplitSingleDataset(n, first, second, k=k)
 
 
@@ -439,54 +482,41 @@ def collect_random_pairs(state, l, k, rng) -> RandomPairDataset:
     One uniform per slot indexes the N(N-1) ordered-pair cells directly, so
     the draw count is fixed and the cell distribution exactly uniform.
     """
-    if l < 2:
+    if l is None or l < 2:
         raise ValueError("random-pair collection needs L >= 2")
-    if k < 1:
+    if k is None or k < 1:
         raise ValueError("random-pair collection needs K >= 1")
     n = state.n_qubits
-    m = n * (n - 1)
-    table = ordered_pairs(n)
     slots = {}
     first = {}
     second = {}
     for axis in DIRECTIONS:
-        idx = np.minimum((rng.random(l) * m).astype(np.int64), m - 1)
-        chosen = table[idx]
-        f = np.empty((l, k), dtype=np.int64)
-        s = np.empty((l, k), dtype=np.int64)
-        for slot, (i, j) in enumerate(chosen):
-            f[slot], s[slot] = sample_pair(state, axis, int(i), int(j), rng, size=k)
-        slots[axis] = chosen.copy()
-        first[axis] = f
-        second[axis] = s
+        idx = _random_slots(rng, l, n * (n - 1))
+        cuts = [c[idx][:, None] for c in _pair_cut_columns(state, axis)]
+        first[axis], second[axis] = _pair_outcomes(cuts, rng.random((l, k)))
+        slots[axis] = _ordered_pair_slots(idx, n)
     return RandomPairDataset(n, slots, first, second, l=l, k=k)
 
 
 def collect_random_split(state, l, k, rng, directions=DIRECTIONS) -> RandomSplitDataset:
     """L uniformly random cells of the full N^2 square with split runs."""
-    if l < 1:
+    if l is None or l < 1:
         raise ValueError("random-split collection needs L >= 1")
-    if k < 2 or k % 2:
+    if k is None or k < 2 or k % 2:
         raise ValueError("random-split collection needs an even K >= 2")
     n = state.n_qubits
-    cells = n * n
-    table = square_pairs(n)
     half = k // 2
     slots = {}
     first = {}
     second = {}
     for axis in directions:
         axis = Direction(axis)
-        idx = np.minimum((rng.random(l) * cells).astype(np.int64), cells - 1)
-        chosen = table[idx]
-        f = np.empty((l, half), dtype=np.int64)
-        s = np.empty((l, half), dtype=np.int64)
-        for slot, (i, j) in enumerate(chosen):
-            f[slot] = sample_single(state, axis, int(i), rng, size=half)
-            s[slot] = sample_single(state, axis, int(j), rng, size=half)
-        slots[axis] = chosen.copy()
-        first[axis] = f
-        second[axis] = s
+        idx = _random_slots(rng, l, n * n)
+        cuts = _single_cuts(state, axis)
+        u = rng.random((l, k))
+        first[axis] = _single_outcomes(cuts[idx // n][:, None], u[:, :half])
+        second[axis] = _single_outcomes(cuts[idx % n][:, None], u[:, half:])
+        slots[axis] = _square_slots(idx, n)
     return RandomSplitDataset(n, slots, first, second, l=l, k=k)
 
 
@@ -591,20 +621,24 @@ def est_deltaJ2_ts(ds: TotalSpinDataset, axis) -> float:
     return _ts_dj2(int(arr.sum()), int((arr * arr).sum()), ds.k)
 
 
-def _pair_sums(ds, axis):
-    f = ds.first[axis]
-    s = ds.second[axis]
-    prod = int((f * s).sum())
-    a = f.sum(axis=0)
-    b = s.sum(axis=0)
-    return prod, int(a.sum()), int(b.sum()), int((a * b).sum())
+def _product_sum(ds, axis):
+    """Sum of first*second member products over the whole block."""
+    return int((ds.first[axis] * ds.second[axis]).sum())
+
+
+def _cross_sums(ds, axis, over):
+    """(product sum, sum A, sum B, sum A*B) with A/B the first/second member
+    sums over array axis ``over``: per repetition over slots (0) or per slot
+    over repetitions (1)."""
+    a = ds.first[axis].sum(axis=over)
+    b = ds.second[axis].sum(axis=over)
+    return _product_sum(ds, axis), int(a.sum()), int(b.sum()), int((a * b).sum())
 
 
 def est_J2_ap(ds: PairDataset, axis) -> float:
     """Second-moment estimate from all ordered-pair products."""
     axis = _axis_block(ds, ("first", "second"), axis, "pair")
-    prod, _, _, _ = _pair_sums(ds, axis)
-    return _ap_j2(prod, ds.n_qubits, ds.k)
+    return _ap_j2(_product_sum(ds, axis), ds.n_qubits, ds.k)
 
 
 def est_deltaJ2_ap(ds: PairDataset, axis) -> float:
@@ -617,31 +651,19 @@ def est_deltaJ2_ap(ds: PairDataset, axis) -> float:
     axis = _axis_block(ds, ("first", "second"), axis, "pair")
     if ds.k < 2:
         raise ValueError("pair variance estimate needs K >= 2")
-    prod, sa, sb, sab = _pair_sums(ds, axis)
-    return _ap_dj2(prod, sa, sb, sab, ds.n_qubits, ds.k)
+    return _ap_dj2(*_cross_sums(ds, axis, 0), ds.n_qubits, ds.k)
 
 
 def est_Jsq_split(ds: SplitSingleDataset, axis) -> float:
     """Squared-first-moment estimate from split single-qubit products."""
     axis = _axis_block(ds, ("first", "second"), axis, "split")
-    prod = int((ds.first[axis] * ds.second[axis]).sum())
-    return _split_jsq(prod, ds.k)
-
-
-def _rand_pair_sums(ds, axis):
-    f = ds.first[axis]
-    s = ds.second[axis]
-    prod = int((f * s).sum())
-    a = f.sum(axis=1)  # per-slot sums over repetitions
-    b = s.sum(axis=1)
-    return prod, int(a.sum()), int(b.sum()), int((a * b).sum())
+    return _split_jsq(_product_sum(ds, axis), ds.k)
 
 
 def est_J2_rp(ds: RandomPairDataset, axis) -> float:
     """Second-moment estimate from randomly sampled pair slots."""
     axis = _axis_block(ds, ("first", "second"), axis, "random-pair")
-    prod, _, _, _ = _rand_pair_sums(ds, axis)
-    return _rp_j2(prod, ds.n_qubits, ds.k, ds.l)
+    return _rp_j2(_product_sum(ds, axis), ds.n_qubits, ds.k, ds.l)
 
 
 def est_deltaJ2_rp(ds: RandomPairDataset, axis) -> float:
@@ -649,64 +671,13 @@ def est_deltaJ2_rp(ds: RandomPairDataset, axis) -> float:
     axis = _axis_block(ds, ("first", "second"), axis, "random-pair")
     if ds.l < 2:
         raise ValueError("random-pair variance estimate needs L >= 2")
-    prod, sa, sb, sab = _rand_pair_sums(ds, axis)
-    return _rp_dj2(prod, sa, sb, sab, ds.n_qubits, ds.k, ds.l)
+    return _rp_dj2(*_cross_sums(ds, axis, 1), ds.n_qubits, ds.k, ds.l)
 
 
 def est_Jsq_rsplit(ds: RandomSplitDataset, axis) -> float:
     """Squared-first-moment estimate from random split cells."""
     axis = _axis_block(ds, ("first", "second"), axis, "random-split")
-    prod = int((ds.first[axis] * ds.second[axis]).sum())
-    return _rsplit_jsq(prod, ds.n_qubits, ds.k, ds.l)
-
-
-# naive reference implementations (exact rational, direct multiple sums)
-
-
-def _est_deltaJ2_ap_naive(ds: PairDataset, axis) -> float:
-    axis = Direction(axis)
-    f = ds.first[axis]
-    s = ds.second[axis]
-    n, k = ds.n_qubits, ds.k
-    m = n * (n - 1)
-    prod = Fraction(0)
-    for p in range(m):
-        for t in range(k):
-            prod += Fraction(int(f[p, t]) * int(s[p, t]), 4)
-    cross = Fraction(0)
-    for p in range(m):
-        for q in range(m):
-            for t in range(k):
-                for u in range(k):
-                    if t != u:
-                        cross += Fraction(int(f[p, t]) * int(s[q, u]), 4)
-    est = Fraction(n, 4) + prod / k - cross / (k * (k - 1) * (n - 1) ** 2)
-    return float(est)
-
-
-def _est_deltaJ2_rp_naive(ds: RandomPairDataset, axis) -> float:
-    axis = Direction(axis)
-    f = ds.first[axis]
-    s = ds.second[axis]
-    n, k, l = ds.n_qubits, ds.k, ds.l
-    prod = Fraction(0)
-    for a in range(l):
-        for t in range(k):
-            prod += Fraction(int(f[a, t]) * int(s[a, t]), 4)
-    cross = Fraction(0)
-    for a in range(l):
-        for b in range(l):
-            if a == b:
-                continue
-            for t in range(k):
-                for u in range(k):
-                    cross += Fraction(int(f[a, t]) * int(s[b, u]), 4)
-    est = (
-        Fraction(n, 4)
-        + Fraction(n * (n - 1), k * l) * prod
-        - Fraction(n * n, l * (l - 1) * k * k) * cross
-    )
-    return float(est)
+    return _rsplit_jsq(_product_sum(ds, axis), ds.n_qubits, ds.k, ds.l)
 
 
 # --------------------------------------------------------------------------

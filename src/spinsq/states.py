@@ -505,8 +505,8 @@ def total_spin_distribution(state: StateModel, axis: Direction):
 #
 # All samplers share one inversion convention: draw u in [0, 1) and select
 # the category index equal to the number of cumulative cut points <= u.
-# The fast simulation kernels replicate exactly this rule, which is what
-# makes backend results bit-identical.
+# The collectors in ``schemes`` apply exactly this rule to whole blocks of
+# uniforms, which is what makes them bit-identical to these samplers.
 
 
 def ts_sampling_table(state: StateModel, axis: Direction):
@@ -544,6 +544,45 @@ def single_plus_cuts(state: StateModel, axis: Direction) -> np.ndarray:
     """Per-qubit ``P(+1)`` cut points along ``axis``."""
     _check_axis(axis)
     return single_plus_prob(state._singles(axis).astype(np.float64))
+
+
+# Cut tables of the collectors, built once per (state, axis) from the same
+# float64 inputs the per-slot samplers use.  States are immutable, so the
+# state object is a safe cache key; the arrays are shared and read-only.
+
+_CUT_CACHE_SIZE = 48
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _total_spin_cuts(state: StateModel, axis: Direction) -> np.ndarray:
+    """The cut points of :func:`ts_sampling_table`."""
+    return _read_only(ts_sampling_table(state, axis)[1])
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _pair_cut_columns(state: StateModel, axis: Direction) -> tuple:
+    """The three joint cut points of every ordered distinct pair.
+
+    One array per cut point, indexed by slot: the pairs ``(i, j)``, ``i != j``,
+    in lexicographic order.
+    """
+    _check_axis(axis)
+    a = np.asarray(state._singles(axis), dtype=np.float64)
+    c = np.asarray(state._pairs(axis), dtype=np.float64)
+    off_diagonal = ~np.eye(state.n_qubits, dtype=bool)
+    cuts = joint_pair_cuts(a[:, None], a[None, :], c)[off_diagonal]
+    return tuple(_read_only(np.ascontiguousarray(cuts[:, q])) for q in range(3))
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _single_cuts(state: StateModel, axis: Direction) -> np.ndarray:
+    """The cut points of :func:`single_plus_cuts`."""
+    return _read_only(single_plus_cuts(state, axis))
 
 
 def sample_total_spin(state: StateModel, axis: Direction, rng: np.random.Generator,

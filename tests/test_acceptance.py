@@ -27,8 +27,6 @@ from spinsq.schemes import (
     est_deltaJ2_ap,
     est_deltaJ2_rp,
     ordered_pairs,
-    _est_deltaJ2_ap_naive,
-    _est_deltaJ2_rp_naive,
 )
 from spinsq.states import (
     DenseState,
@@ -47,6 +45,8 @@ from spinsq.variance import (
     var_J2_ts,
     var_parameter,
 )
+
+from oracles import _est_deltaJ2_ap_naive, _est_deltaJ2_rp_naive
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
 

@@ -4,25 +4,32 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spinsq
 from spinsq.cli import main, _parse_state
 from spinsq.hypothesis import required_budget
 from spinsq.montecarlo import child_generator
 from spinsq.schemes import (
     Parameter,
+    TotalSpinDataset,
     collect_all_pairs,
     collect_split_single,
     collect_total_spin,
     estimate_parameter,
+    read_dataset,
     write_dataset,
 )
-from spinsq.states import DepolarizedMixture, DickeState, ManyBodySinglet
+from spinsq.states import DepolarizedMixture, DickeState, Direction, ManyBodySinglet
 from spinsq.variance import var_parameter
 
+Z = Direction.Z
 TABLE2 = {"ts": 0.0284, "ap1": 5.5836, "ap2": 24.5046, "rp1": 5.5685,
           "rp2": 25.6667}
 
@@ -184,6 +191,28 @@ def test_estimate_state_mismatch(tmp_path):
                         "--state", "singlet:6", str(dest)])
     assert rc == 2
     assert "disagree" in json.loads(err)["error"]
+
+
+def test_estimate_rejects_out_of_range_total_spin(tmp_path):
+    # abs(-2**63) overflows to a negative value, so a range check on abs()
+    # would let this outcome through
+    low = -2**63
+    with pytest.raises(ValueError, match="2m"):
+        TotalSpinDataset(4, {Z: np.array([low, 0], dtype=np.int64)})
+    dest = tmp_path / "ts.csv"
+    run(["sample", "--state", "dicke:4:2", "--pattern", "ts", "--k", "3",
+         "--seed", "1", "--out", str(dest)])
+    text = dest.read_text()
+    rows = text.splitlines()
+    row = next(i for i, line in enumerate(rows) if line.startswith("z,0,"))
+    rows[row] = f"z,0,{low}"
+    dest.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="2m"):
+        read_dataset(dest)
+    rc, out, err = run(["estimate", "--scheme", "ts", "--param", "c", str(dest)])
+    assert rc == 2
+    assert out == ""
+    assert "2m" in json.loads(err)["error"]
 
 
 def test_estimate_missing_file_is_io_error(tmp_path):
@@ -375,12 +404,16 @@ def test_config_file_rejects_bad_line(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same spinsq as this process, installed or not
+    src = str(Path(spinsq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from spinsq.cli import main; sys.exit(main(sys.argv[1:]))",
          "variance", "--state", "singlet:4", "--scheme", "ts", "--param", "b",
          "--k", "10"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 0.0

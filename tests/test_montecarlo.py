@@ -1,16 +1,15 @@
-"""Trial runner: determinism, fast-path equivalence, empirical statistics."""
+"""Trial runner: determinism, frozen outputs, empirical statistics."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinsq._kernels import HAS_NUMBA
 from spinsq.montecarlo import (
     ComparisonRecord,
     TrialStats,
-    _TrialPlan,
     child_generator,
     child_seed,
     compare_analytic,
@@ -24,11 +23,14 @@ from spinsq.montecarlo import (
     write_sweep,
     write_trial_stats,
 )
-from spinsq.schemes import Parameter, collect_datasets, estimate_parameter
+from spinsq.schemes import Parameter, estimate_parameter
 from spinsq.states import DepolarizedMixture, DickeState, ManyBodySinglet
-from spinsq.variance import parameter_value, var_parameter
+from spinsq.variance import var_parameter
+
+from oracles import slot_datasets
 
 DICKE = DickeState(10, 5)
+FROZEN_TRIALS = Path(__file__).with_name("frozen_trials.json")
 
 
 # ---------------------------------------------------------------- seeding
@@ -50,7 +52,7 @@ def test_child_generator_reproducible():
     assert np.array_equal(a, b)
 
 
-# ------------------------------------------------- fast path == dataset path
+# ------------------------------------------------- trial == slot-by-slot record
 
 
 @pytest.mark.parametrize("scheme,kw", [
@@ -62,27 +64,57 @@ def test_child_generator_reproducible():
 ])
 @pytest.mark.parametrize("label", ["a", "b", "c", "d", "c:kzlxmy"])
 def test_trial_matches_dataset_path(scheme, kw, label):
+    # trial t estimates from the record one sample_* call per slot draws
+    # from child_generator(seed, t), in the documented order
     param = Parameter.parse(label)
     for state in (DickeState(5, 2), DepolarizedMixture(DickeState(4, 2), 0.6)):
-        plan = _TrialPlan(state, scheme, param, kw.get("k"), kw.get("l"))
-        for t in range(3):
-            fast = plan.run(child_generator(42, t))
-            rng = child_generator(42, t)
-            datasets = collect_datasets(state, scheme, param, rng, **kw)
-            slow = estimate_parameter(scheme, param, datasets).value
-            assert fast == slow  # bit-exact, not approx
+        stats = run_trials(state, scheme, param, trials=4, master_seed=42, threads=1, **kw)
+        values = np.array([
+            estimate_parameter(
+                scheme, param, slot_datasets(state, scheme, param, child_generator(42, t), **kw)
+            ).value
+            for t in range(4)
+        ])
+        assert stats.mean == values.mean()  # bit-exact, not approx
+        assert stats.empirical_variance == values.var(ddof=1)
 
 
 def test_plan_validates_budgets():
     with pytest.raises(ValueError, match="K >= 2"):
-        _TrialPlan(DICKE, "ts", Parameter("c"), 1, None)
+        run_trials(DICKE, "ts", "c", k=1, trials=2)
+    with pytest.raises(ValueError, match="K >= 2"):
+        run_trials(DICKE, "ts", "c", trials=2)
     with pytest.raises(ValueError, match="even"):
-        _TrialPlan(DICKE, "ap2", Parameter("c"), 3, None)
+        run_trials(DICKE, "ap2", "c", k=3, trials=2)
     with pytest.raises(ValueError, match="L >= 2"):
-        _TrialPlan(DICKE, "rp1", Parameter("c"), 1, 1)
+        run_trials(DICKE, "rp1", "c", k=1, l=1, trials=2)
     # an odd K is fine for AP2 when no split block is needed
-    plan = _TrialPlan(DICKE, "ap2", Parameter("a"), 3, None)
-    assert plan.split_dirs == ()
+    stats = run_trials(DICKE, "ap2", "a", k=3, trials=2)
+    assert stats.config["budget"] == {"k": 3}
+
+
+def _frozen_cases():
+    with open(FROZEN_TRIALS, encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", _frozen_cases(), ids=lambda c: c["id"])
+def test_run_trials_frozen_outputs(case):
+    # recorded with the trial path that reduced uniforms through separate
+    # kernels; any difference means the stream or an estimator changed
+    states = {
+        "dicke:6:3:0.8": DepolarizedMixture(DickeState(6, 3), 0.8),
+        "singlet:4": ManyBodySinglet(4),
+        "dicke:10:5": DICKE,
+    }
+    stats = run_trials(states[case["state"]], case["scheme"], case["parameter"],
+                       master_seed=case["seed"], threads=1, **case["run"])
+    assert stats.mean == float.fromhex(case["mean"])
+    assert stats.empirical_variance == float.fromhex(case["empirical_variance"])
+    hist = stats.histogram
+    assert [hist["counts"], hist["underflow"], hist["overflow"]] == \
+        [case["counts"], case["underflow"], case["overflow"]]
+    assert config_hash(stats.config) == case["config_hash"]
 
 
 # ---------------------------------------------------------------- run_trials
@@ -92,15 +124,6 @@ def test_thread_count_does_not_change_results():
     one = run_trials(DICKE, "ts", "c", k=150, trials=97, master_seed=5, threads=1)
     many = run_trials(DICKE, "ts", "c", k=150, trials=97, master_seed=5, threads=4)
     assert one == many
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba backend not installed")
-def test_backend_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("SPINSQ_BACKEND", "numpy")
-    a = run_trials(DICKE, "rp2", "c", l=40, k=2, trials=50, master_seed=8)
-    monkeypatch.setenv("SPINSQ_BACKEND", "numba")
-    b = run_trials(DICKE, "rp2", "c", l=40, k=2, trials=50, master_seed=8)
-    assert a == b
 
 
 def test_singlet_trials_all_exactly_zero():

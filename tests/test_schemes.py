@@ -37,10 +37,18 @@ from spinsq.schemes import (
     split_directions,
     square_pairs,
     write_dataset,
-    _est_deltaJ2_ap_naive,
-    _est_deltaJ2_rp_naive,
 )
 from spinsq.states import DickeState, DepolarizedMixture, Direction, ManyBodySinglet
+
+from oracles import (
+    _est_deltaJ2_ap_naive,
+    _est_deltaJ2_rp_naive,
+    slot_all_pairs,
+    slot_random_pairs,
+    slot_random_split,
+    slot_split_single,
+    slot_total_spin,
+)
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
 
@@ -336,6 +344,47 @@ def test_collect_datasets_matches_manual_collection_order():
     for ax in (X, Y, Z):
         assert np.array_equal(auto["pairs"].first[ax], pairs.first[ax])
     assert np.array_equal(auto["split"].second[Z], split.second[Z])
+
+
+_RECORD_STATES = [
+    DickeState(5, 2),
+    DepolarizedMixture(DickeState(4, 2), 0.6),
+    ManyBodySinglet(4),
+]
+
+
+def _blocks(ds):
+    return {name: dict(getattr(ds, name)) for name in ("outcomes", "first", "second", "slots")
+            if hasattr(ds, name)}
+
+
+@pytest.mark.parametrize("state", _RECORD_STATES, ids=["dicke", "depolarized", "singlet"])
+@pytest.mark.parametrize("collect,reference,kwargs", [
+    (collect_total_spin, slot_total_spin, dict(k=9)),
+    (collect_all_pairs, slot_all_pairs, dict(k=3)),
+    (collect_split_single, slot_split_single, dict(k=4)),
+    (collect_split_single, slot_split_single, dict(k=6, directions=(Z, X))),
+    (collect_random_pairs, slot_random_pairs, dict(l=7, k=1)),
+    (collect_random_pairs, slot_random_pairs, dict(l=6, k=3)),
+    (collect_random_split, slot_random_split, dict(l=5, k=2)),
+    (collect_random_split, slot_random_split, dict(l=6, k=4, directions=(Y,))),
+], ids=["ts", "ap", "split", "split-zx", "rp-k1", "rp-k3", "rsplit", "rsplit-y"])
+def test_collectors_match_slot_by_slot_record(state, collect, reference, kwargs):
+    # the block draws yield the record of one sample_* call per slot, in the
+    # documented order, and leave the generator in the same state
+    fast_rng = np.random.default_rng(31)
+    slow_rng = np.random.default_rng(31)
+    fast = collect(state, rng=fast_rng, **kwargs)
+    slow = reference(state, rng=slow_rng, **kwargs)
+    assert type(fast) is type(slow)
+    fast_blocks, slow_blocks = _blocks(fast), _blocks(slow)
+    assert {n: list(b) for n, b in fast_blocks.items()} == \
+        {n: list(b) for n, b in slow_blocks.items()}
+    for name, blocks in slow_blocks.items():
+        for axis, arr in blocks.items():
+            assert fast_blocks[name][axis].dtype == arr.dtype
+            assert np.array_equal(fast_blocks[name][axis], arr), (name, axis)
+    assert fast_rng.random() == slow_rng.random()
 
 
 def test_collect_shapes():
