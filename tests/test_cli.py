@@ -202,8 +202,7 @@ def test_estimate_rejects_out_of_range_total_spin(tmp_path):
     dest = tmp_path / "ts.csv"
     run(["sample", "--state", "dicke:4:2", "--pattern", "ts", "--k", "3",
          "--seed", "1", "--out", str(dest)])
-    text = dest.read_text()
-    rows = text.splitlines()
+    rows = dest.read_text().splitlines()
     row = next(i for i, line in enumerate(rows) if line.startswith("z,0,"))
     rows[row] = f"z,0,{low}"
     dest.write_text("\n".join(rows) + "\n")

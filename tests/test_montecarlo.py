@@ -100,8 +100,8 @@ def _frozen_cases():
 
 @pytest.mark.parametrize("case", _frozen_cases(), ids=lambda c: c["id"])
 def test_run_trials_frozen_outputs(case):
-    # recorded with the trial path that reduced uniforms through separate
-    # kernels; any difference means the stream or an estimator changed
+    # recorded with an independent implementation of the trial path; any
+    # difference means the random stream or an estimator changed
     states = {
         "dicke:6:3:0.8": DepolarizedMixture(DickeState(6, 3), 0.8),
         "singlet:4": ManyBodySinglet(4),

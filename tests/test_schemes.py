@@ -354,8 +354,8 @@ _RECORD_STATES = [
 
 
 def _blocks(ds):
-    return {name: dict(getattr(ds, name)) for name in ("outcomes", "first", "second", "slots")
-            if hasattr(ds, name)}
+    names = ("outcomes", "first", "second", "slots")
+    return {name: dict(getattr(ds, name)) for name in names if hasattr(ds, name)}
 
 
 @pytest.mark.parametrize("state", _RECORD_STATES, ids=["dicke", "depolarized", "singlet"])
