@@ -32,7 +32,7 @@ from .montecarlo import (
     _stats_doc,
     _t_rule,
 )
-from .schemes import (
+from .schemes import (  # noqa: F401 - _cmd_sample calls the collectors by name
     SCHEMA_VERSION,
     Parameter,
     Scheme,
@@ -45,6 +45,8 @@ from .schemes import (
     read_dataset,
     write_dataset,
     _KIND_NAMES,
+    _KINDS,
+    _SCHEMES,
 )
 from .states import DepolarizedMixture, DickeState, ManyBodySinglet
 from .variance import var_parameter
@@ -60,15 +62,8 @@ _TABLE2_BUDGETS = {
 }
 
 _PATTERNS = {
-    "ts": "total_spin",
-    "total_spin": "total_spin",
-    "ap": "pairs",
-    "pairs": "pairs",
-    "split": "split",
-    "rp": "random_pairs",
-    "random_pairs": "random_pairs",
-    "rsplit": "random_split",
-    "random_split": "random_split",
+    **{kind.alias: name for name, kind in _KINDS.items()},
+    **{name: name for name in _KINDS},
 }
 
 _CONFIG_TYPES = {
@@ -178,12 +173,6 @@ def _require(args, name: str):
     return value
 
 
-def _budget_kwargs(args, scheme: Scheme) -> dict:
-    if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2):
-        return {"k": _require(args, "k")}
-    return {"l": _require(args, "l"), "k": _require(args, "k")}
-
-
 def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2, default=str)
     if getattr(args, "out", None):
@@ -207,16 +196,11 @@ def _cmd_sample(args) -> int:
         )
     seed = _seed(args)
     rng = child_generator(seed, 0)
-    if kind == "total_spin":
-        ds = collect_total_spin(state, _require(args, "k"), rng)
-    elif kind == "pairs":
-        ds = collect_all_pairs(state, _require(args, "k"), rng)
-    elif kind == "split":
-        ds = collect_split_single(state, _require(args, "k"), rng)
-    elif kind == "random_pairs":
-        ds = collect_random_pairs(state, _require(args, "l"), _require(args, "k"), rng)
-    else:
-        ds = collect_random_split(state, _require(args, "l"), _require(args, "k"), rng)
+    budget = {name: _require(args, name) for name in _KINDS[kind].budget}
+    # looked up in this module at call time, as a direct call by name would
+    # be, so that a wrapper installed on the name sees the call
+    collect = globals()[_KINDS[kind].collect.__name__]
+    ds = collect(state, rng=rng, **budget)
     config = {
         "command": "sample",
         "pattern": kind,
@@ -278,7 +262,8 @@ def _cmd_variance(args) -> int:
     state = _parse_state(_require(args, "state"))
     scheme = Scheme(_require(args, "scheme"))
     parameter = Parameter.parse(_require(args, "param"))
-    report = var_parameter(state, scheme, parameter, **_budget_kwargs(args, scheme))
+    budget = {name: _require(args, name) for name in _SCHEMES[scheme].budget}
+    report = var_parameter(state, scheme, parameter, **budget)
     config = {
         "command": "variance",
         "state": state_spec(state),
@@ -326,6 +311,7 @@ def _cmd_mc(args) -> int:
     scheme = Scheme(_require(args, "scheme"))
     parameter = Parameter.parse(_require(args, "param"))
     seed = _seed(args)
+    budget = {name: _require(args, name) for name in _SCHEMES[scheme].budget}
     stats = run_trials(
         state, scheme, parameter,
         trials=_require(args, "trials"),
@@ -333,7 +319,7 @@ def _cmd_mc(args) -> int:
         threads=args.threads or 0,
         bins=args.bins or 99,
         bin_width=args.bin_width,
-        **_budget_kwargs(args, scheme),
+        **budget,
     )
     fmt = args.format or "json"
     if fmt == "csv":
@@ -436,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sample", _cmd_sample, "collect one dataset and write it as CSV",
             ["state", "budget", "seed", "out"])
     p.add_argument("--pattern", required=True,
-                   help="dataset kind: ts|ap|split|rp|rsplit or full name")
+                   help="dataset kind: " + "|".join(k.alias for k in _KINDS.values())
+                   + " or full name")
 
     p = add("estimate", _cmd_estimate, "compose an estimate from dataset files",
             ["scheme", "param", "state", "out"])

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import Parameter, ParameterKind, Scheme, sample_cost
+from .schemes import (
+    _SCHEMES,
+    Parameter,
+    ParameterKind,
+    Scheme,
+    _parameter_blocks,
+    sample_cost,
+)
 from .states import DIRECTIONS, DepolarizedMixture, DickeState, moment_table
-from .variance import _blocks_for, block_variance
+from .variance import block_variance
 
 __all__ = [
     "SampleSizeResult",
@@ -147,10 +154,10 @@ def _aggs_at(base: dict, mixed: dict, p: float) -> dict:
 def _variance_at(scheme, parameter, n, tables, p, *, k=None, l=None):
     total = 0.0
     w2 = (n - 1) * (n - 1)
-    for ax, block, weight in _blocks_for(parameter):
+    for ax, block, scaled in _parameter_blocks(parameter):
         aggs = _aggs_at(*tables[ax], p)
         v = block_variance(scheme, block, n, aggs, k=k, l=l)
-        total += w2 * v if weight == "w2" else v
+        total += w2 * v if scaled else v
     return total
 
 
@@ -209,29 +216,6 @@ def max_variance_over_noise(scheme, parameter, n, *, k=None, l=None):
 # --------------------------------------------------------------------------
 
 
-def _budget_grid(scheme):
-    """(minimum budget, grid step) of the scheme's budget scalar."""
-    if scheme in (Scheme.TS, Scheme.AP1):
-        return 2, 1
-    if scheme is Scheme.AP2:
-        return 2, 2
-    if scheme is Scheme.RP1:
-        return 2, 1
-    if scheme is Scheme.RP2:
-        return 4, 2  # product K*L with K = 2, L = B/2
-    raise TypeError(f"expected a Scheme, got {scheme!r}")
-
-
-def _budget_args(scheme, b):
-    if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2):
-        return {"k": b}
-    if scheme is Scheme.RP1:
-        return {"l": b, "k": 1}
-    if scheme is Scheme.RP2:
-        return {"l": b // 2, "k": 2}
-    raise TypeError(f"expected a Scheme, got {scheme!r}")
-
-
 def _variance_profiles(scheme, parameter, n, tables, grid):
     """Budget dependence factored out: var(p, B) = f1(p)/B + f2(p)/(B(B-1)).
 
@@ -239,11 +223,11 @@ def _variance_profiles(scheme, parameter, n, tables, grid):
     (f2 = 0 where only 1/B terms appear), so two evaluations at distinct
     budgets determine the profile for the whole grid at once.
     """
-    minimum, step = _budget_grid(scheme)
-    b1, b2 = minimum, minimum + step
+    row = _SCHEMES[scheme]
+    b1, b2 = row.plan_min, row.plan_min + row.plan_step
 
     def sample(b):
-        args = _budget_args(scheme, b)
+        args = row.plan_budget(b)
         return np.array(
             [_variance_at(scheme, parameter, n, tables, p, **args) for p in grid]
         )
@@ -276,26 +260,26 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
     tables = _family_tables(n)
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     f1, f2 = _variance_profiles(scheme, parameter, n, tables, grid)
-    minimum, step = _budget_grid(scheme)
+    row = _SCHEMES[scheme]
 
     def grid_bound(b):
         var = (f1 / b + f2 / (b * (b - 1))).max()
         return cantelli_bound(var, t)
 
     def refined(b):
-        args = _budget_args(scheme, b)
+        args = row.plan_budget(b)
         p, var = _maximize_over_grid(
             lambda q: _variance_at(scheme, parameter, n, tables, q, **args), grid
         )
         return p, var, cantelli_bound(var, t)
 
     # exponential search for a passing budget, then bisection (index space:
-    # budget = minimum + step * i); valid because the worst-case variance is
-    # pointwise non-increasing in the budget scalar
+    # budget = plan_min + plan_step * i); valid because the worst-case
+    # variance is pointwise non-increasing in the budget scalar
     def b_of(i):
-        return minimum + step * i
+        return row.plan_min + row.plan_step * i
 
-    b = minimum
+    b = row.plan_min
     if grid_bound(b) > target:
         hi = 1
         while grid_bound(b_of(hi)) > target:
@@ -314,9 +298,9 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
     # confirm against the refined (sub-grid) worst case
     p_max, var_max, bound = refined(b)
     while bound > target:
-        b += step
+        b += row.plan_step
         p_max, var_max, bound = refined(b)
 
-    cost = sample_cost(scheme, parameter, n, **_budget_args(scheme, b))
+    cost = sample_cost(scheme, parameter, n, **row.plan_budget(b))
     return SampleSizeResult(scheme, parameter, n, float(t), float(gamma),
                             p_max, int(b), cost)

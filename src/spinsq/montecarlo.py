@@ -25,9 +25,11 @@ import numpy as np
 
 from .hypothesis import required_budget
 from .schemes import (
+    _SCHEMES,
     SCHEMA_VERSION,
     Parameter,
     Scheme,
+    _budget,
     collect_datasets,
     estimate_parameter,
 )
@@ -209,10 +211,7 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
         raise ValueError("need at least two trials")
     scheme = Scheme(scheme)
     parameter = _as_parameter(parameter)
-    budget = {"k": k} if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2) else {
-        "l": l,
-        "k": k,
-    }
+    budget = _budget(_SCHEMES[scheme].budget, k, l)
 
     values = np.empty(trials, dtype=np.float64)
 

@@ -15,6 +15,10 @@ All outcomes are stored integer-encoded (``2m`` for collective outcomes,
 ``2s = ±1`` for single qubits) so estimator numerators and denominators are
 exact integers with a single final division.
 
+Each rule of a scheme is stated once, in the scheme table (``_KINDS`` per
+dataset kind, ``_SCHEMES`` per scheme), which collection, estimation, cost,
+the variance engine, the planner, the trial harness and the CLI all read.
+
 Draw-order contract of the collectors: directions are consumed in the order
 listed by the dataset (x, y, z unless a subset is requested); within a
 direction, slots in ascending order with all repetitions of a slot
@@ -30,10 +34,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -147,16 +153,27 @@ def square_pairs(n: int) -> np.ndarray:
     return _square_slots(np.arange(n * n), n)
 
 
-def split_directions(parameter: Parameter) -> tuple:
-    """Directions whose variance block needs split-run data (AP2/RP2)."""
+def _parameter_blocks(parameter: Parameter) -> list:
+    """The parameter's direction blocks as ``(axis, "j2" | "dj2", scaled)``.
+
+    A ``j2`` block is the second moment of the axis, a ``dj2`` block its
+    variance.  ``scaled`` blocks carry the factor N - 1 in the parameter, so
+    (N - 1)^2 in its variance.
+    """
     kind = parameter.kind
     if kind is ParameterKind.A:
-        return ()
+        return [(ax, "j2", False) for ax in _DEFAULT_AXES]
     if kind is ParameterKind.B:
-        return _DEFAULT_AXES
+        return [(ax, "dj2", False) for ax in _DEFAULT_AXES]
+    ka, la, ma = parameter.axes
     if kind is ParameterKind.C:
-        return (parameter.m_axis,)
-    return (parameter.k_axis, parameter.l_axis)
+        return [(ka, "j2", False), (la, "j2", False), (ma, "dj2", True)]
+    return [(ka, "dj2", True), (la, "dj2", True), (ma, "j2", False)]
+
+
+def split_directions(parameter: Parameter) -> tuple:
+    """Directions whose variance block needs split-run data (AP2/RP2)."""
+    return tuple([ax for ax, block, _ in _parameter_blocks(parameter) if block == "dj2"])
 
 
 # --------------------------------------------------------------------------
@@ -434,8 +451,7 @@ def _random_slots(rng, l, cells):
 
 def collect_total_spin(state, k, rng) -> TotalSpinDataset:
     """K collective outcomes per direction (3K preparations in total)."""
-    if k is None or k < 2:
-        raise ValueError("total-spin collection needs K >= 2")
+    _check_collect("total_spin", k=k)
     n = state.n_qubits
     blocks = {}
     for axis in DIRECTIONS:
@@ -446,8 +462,7 @@ def collect_total_spin(state, k, rng) -> TotalSpinDataset:
 
 def collect_all_pairs(state, k, rng) -> PairDataset:
     """K joint outcomes for each ordered distinct pair and direction."""
-    if k is None or k < 2:
-        raise ValueError("all-pairs collection needs K >= 2")
+    _check_collect("pairs", k=k)
     n = state.n_qubits
     first = {}
     second = {}
@@ -460,8 +475,7 @@ def collect_all_pairs(state, k, rng) -> PairDataset:
 
 def collect_split_single(state, k, rng, directions=DIRECTIONS) -> SplitSingleDataset:
     """Split single-qubit runs over the full index square (K even)."""
-    if k is None or k < 2 or k % 2:
-        raise ValueError("split collection needs an even K >= 2")
+    _check_collect("split", k=k)
     n = state.n_qubits
     half = k // 2
     first = {}
@@ -482,10 +496,7 @@ def collect_random_pairs(state, l, k, rng) -> RandomPairDataset:
     One uniform per slot indexes the N(N-1) ordered-pair cells directly, so
     the draw count is fixed and the cell distribution exactly uniform.
     """
-    if l is None or l < 2:
-        raise ValueError("random-pair collection needs L >= 2")
-    if k is None or k < 1:
-        raise ValueError("random-pair collection needs K >= 1")
+    _check_collect("random_pairs", l=l, k=k)
     n = state.n_qubits
     slots = {}
     first = {}
@@ -500,10 +511,7 @@ def collect_random_pairs(state, l, k, rng) -> RandomPairDataset:
 
 def collect_random_split(state, l, k, rng, directions=DIRECTIONS) -> RandomSplitDataset:
     """L uniformly random cells of the full N^2 square with split runs."""
-    if l is None or l < 1:
-        raise ValueError("random-split collection needs L >= 1")
-    if k is None or k < 2 or k % 2:
-        raise ValueError("random-split collection needs an even K >= 2")
+    _check_collect("random_split", l=l, k=k)
     n = state.n_qubits
     half = k // 2
     slots = {}
@@ -527,24 +535,17 @@ def collect_datasets(state, scheme, parameter, rng, *, k=None, l=None) -> dict:
     the parameter uses, so the preparations consumed equal
     ``sample_cost(scheme, parameter, N, ...)``.
     """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.TS:
-        return {"total_spin": collect_total_spin(state, k, rng)}
-    if scheme is Scheme.AP1:
-        return {"pairs": collect_all_pairs(state, k, rng)}
-    if scheme is Scheme.AP2:
-        out = {"pairs": collect_all_pairs(state, k, rng)}
-        dirs = split_directions(parameter)
-        if dirs:
-            out["split"] = collect_split_single(state, k, rng, directions=dirs)
-        return out
-    if scheme is Scheme.RP1:
-        return {"random_pairs": collect_random_pairs(state, l, k, rng)}
-    out = {"random_pairs": collect_random_pairs(state, l, k, rng)}
-    dirs = split_directions(parameter)
+    row = _SCHEMES[Scheme(scheme)]
+    out = {row.record: _collect(row.record, state, rng, k, l)}
+    dirs = split_directions(parameter) if row.split is not None else ()
     if dirs:
-        out["random_split"] = collect_random_split(state, l, k, rng, directions=dirs)
+        out[row.split] = _collect(row.split, state, rng, k, l, directions=dirs)
     return out
+
+
+def _collect(name, state, rng, k, l, **extra):
+    kind = _KINDS[name]
+    return kind.collect(state, rng=rng, **_budget(kind.budget, k, l), **extra)
 
 
 # --------------------------------------------------------------------------
@@ -681,6 +682,231 @@ def est_Jsq_rsplit(ds: RandomSplitDataset, axis) -> float:
 
 
 # --------------------------------------------------------------------------
+# variance cores (aggregates -> variance of one estimator)
+# --------------------------------------------------------------------------
+#
+# Every core takes ``(n, aggs, k, l)`` so that the scheme table can call any
+# of them; :mod:`spinsq.variance` composes them into parameter variances.
+
+
+def _promote(n, aggs):
+    """Match the numeric type of ``n`` to the aggregates (exact vs float)."""
+    if any(isinstance(v, Fraction) for v in aggs.values()):
+        return Fraction(n)
+    return n
+
+
+def _core_ts_j2(n, aggs, k, l):
+    j2, j4 = aggs["j2"], aggs["j4"]
+    return (j4 - j2 * j2) / k
+
+
+def _core_ts_dj2(n, aggs, k, l):
+    j1, j2, j3, j4 = aggs["j1"], aggs["j2"], aggs["j3"], aggs["j4"]
+    return (
+        (j4 - j2 * j2 - 4 * j3 * j1) * (k - 1)
+        + 2 * j2 * j2
+        + 2 * (2 * k - 3) * (2 * j2 * j1 * j1 - j1 ** 4)
+    ) / (k * (k - 1))
+
+
+def _core_ap_j2(n, aggs, k, l):
+    n = _promote(n, aggs)
+    return (n * (n - 1) - aggs["corr_sq_sum"]) / (16 * k)
+
+
+def _core_ap_dj2(n, aggs, k, l):
+    n = _promote(n, aggs)
+    j1, j2 = aggs["j1"], aggs["j2"]
+    s1sq = aggs["single_sq_sum"]
+    smix = aggs["mixed_corr_sum"]
+    w1 = (n - 1) * (n - 1)
+
+    g = (n - 1) * j1 * j1 + n / 4 - s1sq / 4
+    h = j2 + n * (n - 2) * j1 * j1 - n / 4 + s1sq / 4
+    w = (
+        k * (k - 1) * (k - 2) * (k - 3) * w1 * w1 * j1 ** 4
+        + k * (k - 1) * (k - 2) * w1 * j1 * j1 * (2 * (n - 1) * g + 2 * h)
+        + k * (k - 1) * (w1 * g * g + h * h)
+        - k * k * (k - 1) * (k - 1) * w1 * w1 * j1 ** 4
+    )
+    cov = (
+        k * (k - 1) * (k - 2) * (j2 - n / 4) * w1 * j1 * j1
+        + k
+        * (k - 1)
+        * (n - 1)
+        * j1
+        * ((n - 1) / 2 * j1 + 2 * (n - 1) * j1 * (j2 - n / 4) - smix / 8)
+        - k * k * (k - 1) * w1 * j1 * j1 * (j2 - n / 4)
+    )
+    return (
+        _core_ap_j2(n, aggs, k, l)
+        + w / (k * k * (k - 1) * (k - 1) * w1 * w1)
+        - 2 * cov / (k * k * (k - 1) * w1)
+    )
+
+
+def _core_split_jsq(n, aggs, k, l):
+    n = _promote(n, aggs)
+    s1sq = aggs["single_sq_sum"]
+    return (n * n - s1sq * s1sq) / (8 * k)
+
+
+def _core_rp_j2(n, aggs, k, l):
+    n = _promote(n, aggs)
+    j2 = aggs["j2"]
+    return (n ** 3 * (n - 2) - 16 * j2 * j2 + 8 * n * j2) / (16 * k * l)
+
+
+def _core_rp_dj2(n, aggs, k, l):
+    n = _promote(n, aggs)
+    j1, j2 = aggs["j1"], aggs["j2"]
+    w1 = (n - 1) * (n - 1)
+    num = (
+        -32 * j1 ** 4 * (2 * l - 3) * w1
+        - 8
+        * j1
+        * j1
+        * (n - 1)
+        * (4 * j2 * (-3 * l * n + 2 * l + 4 * n - 2) + n * n * (l * n - 2))
+        - 16 * j2 * j2 * (l * w1 - 2 * n * (n - 1) - 1)
+        + 8 * j2 * n * (l * w1 - 2 * n * (n - 1) - 1)
+        + n ** 3 * (l * (n - 2) * w1 + n * (2 * n - 3) + 2)
+    )
+    return num / (16 * l * (l - 1) * w1)
+
+
+def _core_rsplit_jsq(n, aggs, k, l):
+    n = _promote(n, aggs)
+    j1 = aggs["j1"]
+    return (n ** 4 - 16 * j1 ** 4) / (8 * k * l)
+
+
+# --------------------------------------------------------------------------
+# the scheme table
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A dataset kind: the record one collector draws."""
+
+    alias: str  # short name for ``spinsq sample --pattern``
+    cls: type
+    collect: Callable  # called as ``collect(state, rng=rng, **budget)``
+    budget: tuple  # budget fields, in the order they are checked
+    minimum: Mapping  # the collector's minimum per budget field
+    k_even: bool  # K splits into two equal run series
+    preparations: Callable  # (n, k, l) -> state preparations per direction
+
+
+_KINDS = {
+    "total_spin": _Kind("ts", TotalSpinDataset, collect_total_spin, ("k",),
+                        {"k": 2}, False, lambda n, k, l: k),
+    "pairs": _Kind("ap", PairDataset, collect_all_pairs, ("k",),
+                   {"k": 2}, False, lambda n, k, l: n * (n - 1) * k),
+    "split": _Kind("split", SplitSingleDataset, collect_split_single, ("k",),
+                   {"k": 2}, True, lambda n, k, l: n * n * k),
+    "random_pairs": _Kind("rp", RandomPairDataset, collect_random_pairs, ("l", "k"),
+                          {"l": 2, "k": 1}, False, lambda n, k, l: l * k),
+    "random_split": _Kind("rsplit", RandomSplitDataset, collect_random_split, ("l", "k"),
+                          {"l": 1, "k": 2}, True, lambda n, k, l: l * k),
+}
+_KIND_NAMES = {kind.cls: name for name, kind in _KINDS.items()}
+
+
+@dataclass(frozen=True)
+class _Block:
+    """How a scheme estimates one direction block ("j2" or "dj2").
+
+    The estimate is ``estimate(record, axis)``, less ``split_estimate(split,
+    axis)`` for a block built with split runs; its variance is ``core``, plus
+    ``split_core``, of ``(n, aggs, k, l)``.  The variance formula holds for
+    K >= ``k_min`` (even if ``k_even``) and L >= ``l_min``, and, when
+    ``k_only`` is set, for that K alone.
+    """
+
+    estimate: Callable
+    core: Callable
+    k_min: int = 1
+    k_even: bool = False
+    l_min: int = 0
+    k_only: int | None = None
+    split_estimate: Callable | None = None
+    split_core: Callable | None = None
+
+
+@dataclass(frozen=True)
+class _SchemeRow:
+    """A scheme: its record, its split runs, its blocks and its planner grid.
+
+    The planner's budget scalar starts at ``plan_min`` and moves in steps of
+    ``plan_step``; it is K, or with ``plan_k`` set the product K*L at that K.
+    """
+
+    record: str  # dataset key of the second-moment record
+    split: str | None  # dataset key of the split runs, if the scheme has them
+    blocks: Mapping  # "j2" / "dj2" -> _Block
+    plan_min: int
+    plan_step: int
+    plan_k: int | None
+
+    @property
+    def budget(self) -> tuple:
+        return _KINDS[self.record].budget
+
+    def plan_budget(self, b) -> dict:
+        if self.plan_k is None:
+            return {"k": b}
+        return {"l": b // self.plan_k, "k": self.plan_k}
+
+
+_AP_J2 = _Block(est_J2_ap, _core_ap_j2)
+_RP_J2 = _Block(est_J2_rp, _core_rp_j2, l_min=1)
+
+_SCHEMES = {
+    Scheme.TS: _SchemeRow("total_spin", None, {
+        "j2": _Block(est_J2_ts, _core_ts_j2),
+        "dj2": _Block(est_deltaJ2_ts, _core_ts_dj2, k_min=2),
+    }, plan_min=2, plan_step=1, plan_k=None),
+    Scheme.AP1: _SchemeRow("pairs", None, {
+        "j2": _AP_J2,
+        "dj2": _Block(est_deltaJ2_ap, _core_ap_dj2, k_min=2),
+    }, plan_min=2, plan_step=1, plan_k=None),
+    Scheme.AP2: _SchemeRow("pairs", "split", {
+        "j2": _AP_J2,
+        "dj2": _Block(est_J2_ap, _core_ap_j2, k_min=2, k_even=True,
+                      split_estimate=est_Jsq_split, split_core=_core_split_jsq),
+    }, plan_min=2, plan_step=2, plan_k=None),
+    Scheme.RP1: _SchemeRow("random_pairs", None, {
+        "j2": _RP_J2,
+        "dj2": _Block(est_deltaJ2_rp, _core_rp_dj2, l_min=2, k_only=1),
+    }, plan_min=2, plan_step=1, plan_k=1),
+    Scheme.RP2: _SchemeRow("random_pairs", "random_split", {
+        "j2": _RP_J2,
+        "dj2": _Block(est_J2_rp, _core_rp_j2, k_min=2, k_even=True, l_min=1,
+                      split_estimate=est_Jsq_rsplit, split_core=_core_rsplit_jsq),
+    }, plan_min=4, plan_step=2, plan_k=2),
+}
+
+
+def _budget(fields, k, l) -> dict:
+    """The budget ``fields`` with their values."""
+    return {name: l if name == "l" else k for name in fields}
+
+
+def _check_collect(name, **budget):
+    """Reject a budget below the minimum of the dataset kind's collector."""
+    kind = _KINDS[name]
+    for key in kind.budget:
+        value, least, even = budget[key], kind.minimum[key], key == "k" and kind.k_even
+        if value is None or value < least or (even and value % 2):
+            raise ValueError(
+                f"{name} collection needs {'an even ' if even else ''}{key.upper()} >= {least}"
+            )
+
+
+# --------------------------------------------------------------------------
 # parameter composition
 # --------------------------------------------------------------------------
 
@@ -698,18 +924,8 @@ def compose_parameter(parameter: Parameter, n: int, j2: Mapping, dj2: Mapping):
     return (n - 1) * (dj2[ka] + dj2[la]) - j2[ma]
 
 
-def _needed_blocks(parameter: Parameter):
-    kind = parameter.kind
-    if kind is ParameterKind.A:
-        return list(_DEFAULT_AXES), []
-    if kind is ParameterKind.B:
-        return [], list(_DEFAULT_AXES)
-    if kind is ParameterKind.C:
-        return [parameter.k_axis, parameter.l_axis], [parameter.m_axis]
-    return [parameter.m_axis], [parameter.k_axis, parameter.l_axis]
-
-
-def _require(datasets, key, cls, scheme):
+def _require(datasets, key, scheme):
+    cls = _KINDS[key].cls
     try:
         ds = datasets[key]
     except (KeyError, TypeError):
@@ -732,11 +948,11 @@ def _array_ids(ds):
     return ids
 
 
-def _check_independent(ds_a, ds_b, label):
+def _check_independent(ds_a, ds_b, row):
     if ds_a is ds_b or (_array_ids(ds_a) & _array_ids(ds_b)):
         raise ValueError(
-            f"{label} must come from independent datasets, but the supplied "
-            "objects share outcome data"
+            f"{row.record!r} and {row.split!r} blocks must come from independent "
+            "datasets, but the supplied objects share outcome data"
         )
 
 
@@ -749,107 +965,53 @@ def estimate_parameter(scheme, parameter: Parameter, datasets) -> EstimateResult
     independent must not share underlying arrays.
     """
     scheme = Scheme(scheme)
-    j2_axes, dj2_axes = _needed_blocks(parameter)
+    row = _SCHEMES[scheme]
+    record = _require(datasets, row.record, scheme)
+    n = record.n_qubits
+    budget = {name: getattr(record, name) for name in row.budget}
+    blocks = _parameter_blocks(parameter)
+    split = None
+    if row.split is not None and any(block == "dj2" for _, block, _ in blocks):
+        split = _require(datasets, row.split, scheme)
+        _check_independent(record, split, row)
+        if split.n_qubits != n:
+            raise ValueError(f"{row.record!r} and {row.split!r} datasets disagree on N")
+        for name, size in budget.items():
+            if getattr(split, name) != size:
+                raise ValueError(
+                    f"{row.record!r} and {row.split!r} datasets disagree on {name.upper()}"
+                )
+
     j2 = {}
     dj2 = {}
-
-    if scheme is Scheme.TS:
-        ds = _require(datasets, "total_spin", TotalSpinDataset, scheme)
-        n = ds.n_qubits
-        for axis in j2_axes:
-            j2[axis] = est_J2_ts(ds, axis)
-        for axis in dj2_axes:
-            dj2[axis] = est_deltaJ2_ts(ds, axis)
-        budget = {"k": ds.k}
-    elif scheme in (Scheme.AP1, Scheme.AP2):
-        pairs = _require(datasets, "pairs", PairDataset, scheme)
-        n = pairs.n_qubits
-        for axis in j2_axes:
-            j2[axis] = est_J2_ap(pairs, axis)
-        if scheme is Scheme.AP1:
-            for axis in dj2_axes:
-                dj2[axis] = est_deltaJ2_ap(pairs, axis)
-        elif dj2_axes:
-            split = _require(datasets, "split", SplitSingleDataset, scheme)
-            _check_independent(pairs, split, "pair and split blocks")
-            if split.n_qubits != n:
-                raise ValueError("pair and split datasets disagree on N")
-            if split.k != pairs.k:
-                raise ValueError("pair and split datasets disagree on K")
-            for axis in dj2_axes:
-                dj2[axis] = est_J2_ap(pairs, axis) - est_Jsq_split(split, axis)
-        budget = {"k": pairs.k}
-    elif scheme in (Scheme.RP1, Scheme.RP2):
-        pairs = _require(datasets, "random_pairs", RandomPairDataset, scheme)
-        n = pairs.n_qubits
-        for axis in j2_axes:
-            j2[axis] = est_J2_rp(pairs, axis)
-        if scheme is Scheme.RP1:
-            for axis in dj2_axes:
-                dj2[axis] = est_deltaJ2_rp(pairs, axis)
-        elif dj2_axes:
-            split = _require(datasets, "random_split", RandomSplitDataset, scheme)
-            _check_independent(pairs, split, "random pair and split blocks")
-            if split.n_qubits != n:
-                raise ValueError("random pair and split datasets disagree on N")
-            if (split.l, split.k) != (pairs.l, pairs.k):
-                raise ValueError("random pair and split datasets disagree on (L, K)")
-            for axis in dj2_axes:
-                dj2[axis] = est_J2_rp(pairs, axis) - est_Jsq_rsplit(split, axis)
-        budget = {"l": pairs.l, "k": pairs.k}
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scheme {scheme}")
+    for axis, block, _ in blocks:
+        rule = row.blocks[block]
+        value = rule.estimate(record, axis)
+        if rule.split_estimate is not None:
+            value = value - rule.split_estimate(split, axis)
+        (j2 if block == "j2" else dj2)[axis] = value
 
     value = compose_parameter(parameter, n, j2, dj2)
     cost = sample_cost(scheme, parameter, n, **budget)
     return EstimateResult(scheme, parameter, float(value), cost, budget)
 
 
-_SPLIT_DIRECTION_COUNT = {
-    ParameterKind.A: 0,
-    ParameterKind.B: 3,
-    ParameterKind.C: 1,
-    ParameterKind.D: 2,
-}
-
-
 def sample_cost(scheme, parameter: Parameter, n: int, *, k=None, l=None) -> int:
     """Total state preparations a scheme consumes for a parameter."""
-    scheme = Scheme(scheme)
-    n_split = _SPLIT_DIRECTION_COUNT[parameter.kind]
-    if scheme is Scheme.TS:
-        _need_budget(k=k)
-        return 3 * k
-    if scheme is Scheme.AP1:
-        _need_budget(k=k)
-        return 3 * n * (n - 1) * k
-    if scheme is Scheme.AP2:
-        _need_budget(k=k)
-        return 3 * n * (n - 1) * k + n_split * n * n * k
-    if scheme is Scheme.RP1:
-        _need_budget(k=k, l=l)
-        return 3 * l * k
-    _need_budget(k=k, l=l)
-    return 3 * l * k + n_split * l * k
-
-
-def _need_budget(**kwargs):
-    for name, value in kwargs.items():
-        if value is None or value < 1:
+    row = _SCHEMES[Scheme(scheme)]
+    fields = row.budget
+    for name, value in (("k", k), ("l", l)):
+        if name in fields and (value is None or value < 1):
             raise ValueError(f"budget {name} must be a positive integer")
+    cost = len(DIRECTIONS) * _KINDS[row.record].preparations(n, k, l)
+    if row.split is not None:
+        cost += len(split_directions(parameter)) * _KINDS[row.split].preparations(n, k, l)
+    return cost
 
 
 # --------------------------------------------------------------------------
 # CSV serialization
 # --------------------------------------------------------------------------
-
-_KIND_NAMES = {
-    TotalSpinDataset: "total_spin",
-    PairDataset: "pairs",
-    SplitSingleDataset: "split",
-    RandomPairDataset: "random_pairs",
-    RandomSplitDataset: "random_split",
-}
 
 
 def write_dataset(ds, dest, meta=None) -> None:
@@ -867,51 +1029,58 @@ def write_dataset(ds, dest, meta=None) -> None:
     for key, value in (meta or {}).items():
         dest.write(f"# {key}={value}\n")
     writer = csv.writer(dest)
-    if isinstance(ds, TotalSpinDataset):
+    if kind == "total_spin":
         writer.writerow(["direction", "rep", "outcome2m"])
         for axis, arr in ds.outcomes.items():
-            for rep, v in enumerate(arr):
-                writer.writerow([axis.value, rep, int(v)])
-    elif isinstance(ds, PairDataset):
-        writer.writerow(["direction", "i", "j", "rep", "si2", "sj2"])
-        pairs = ordered_pairs(ds.n_qubits)
-        for axis in ds.first:
-            f, s = ds.first[axis], ds.second[axis]
-            for slot, (i, j) in enumerate(pairs):
-                for rep in range(ds.k):
-                    writer.writerow(
-                        [axis.value, int(i), int(j), rep, int(f[slot, rep]), int(s[slot, rep])]
-                    )
-    elif isinstance(ds, SplitSingleDataset):
-        writer.writerow(["direction", "i", "j", "rep", "who", "who_s2"])
-        cells = square_pairs(ds.n_qubits)
-        for axis in ds.first:
-            f, s = ds.first[axis], ds.second[axis]
-            for slot, (i, j) in enumerate(cells):
-                for rep in range(ds.k // 2):
-                    writer.writerow([axis.value, int(i), int(j), rep, "first", int(f[slot, rep])])
-                for rep in range(ds.k // 2):
-                    writer.writerow([axis.value, int(i), int(j), rep, "second", int(s[slot, rep])])
-    elif isinstance(ds, RandomPairDataset):
-        writer.writerow(["slot", "direction", "i", "j", "rep", "si2", "sj2"])
-        for axis in ds.first:
-            f, s = ds.first[axis], ds.second[axis]
-            for slot, (i, j) in enumerate(ds.slots[axis]):
-                for rep in range(ds.k):
-                    writer.writerow(
-                        [slot, axis.value, int(i), int(j), rep, int(f[slot, rep]), int(s[slot, rep])]
-                    )
-    elif isinstance(ds, RandomSplitDataset):
-        writer.writerow(["slot", "direction", "i", "j", "rep", "who", "who_s2"])
-        for axis in ds.first:
-            f, s = ds.first[axis], ds.second[axis]
-            for slot, (i, j) in enumerate(ds.slots[axis]):
-                for rep in range(ds.k // 2):
-                    writer.writerow([slot, axis.value, int(i), int(j), rep, "first", int(f[slot, rep])])
-                for rep in range(ds.k // 2):
-                    writer.writerow([slot, axis.value, int(i), int(j), rep, "second", int(s[slot, rep])])
-    else:  # pragma: no cover
-        raise ValueError(f"cannot serialize {type(ds).__name__}")
+            writer.writerows([axis.value, rep, v] for rep, v in enumerate(arr.tolist()))
+        return
+    # the layout read_dataset parses: [slot,] direction, i, j, rep, outcomes
+    random, split = kind.startswith("random_"), kind.endswith("split")
+    writer.writerow(["slot"] * random + ["direction", "i", "j", "rep"]
+                    + (["who", "who_s2"] if split else ["si2", "sj2"]))
+    n = ds.n_qubits
+    for axis in ds.first:
+        f, s = ds.first[axis].tolist(), ds.second[axis].tolist()
+        cells = ds.slots[axis] if random else square_pairs(n) if split else ordered_pairs(n)
+        for slot, (i, j) in enumerate(cells.tolist()):
+            lead = [slot, axis.value, i, j] if random else [axis.value, i, j]
+            if split:
+                writer.writerows(lead + [rep, "first", v] for rep, v in enumerate(f[slot]))
+                writer.writerows(lead + [rep, "second", v] for rep, v in enumerate(s[slot]))
+            else:
+                writer.writerows(lead + [rep, a, b]
+                                 for rep, (a, b) in enumerate(zip(f[slot], s[slot])))
+
+
+_WHO = {"first": 0, "second": 1}
+
+
+def _int_columns(rows, columns, what):
+    """The ``columns`` of the CSV ``rows`` as int64 arrays."""
+    try:
+        return [np.array([int(r[c]) for r in rows], dtype=np.int64) for c in columns]
+    except OverflowError:
+        raise ValueError(f"{what}: a value does not fit in int64") from None
+    except IndexError:
+        raise ValueError(f"{what}: a row has too few columns") from None
+
+
+def _cells(shape, index, values, what):
+    """An array of ``shape`` with ``values`` at the cells of the ``index`` columns.
+
+    Every cell must be written exactly once.
+    """
+    try:
+        flat = np.ravel_multi_index(tuple(index), shape)
+    except ValueError:
+        raise ValueError(f"{what}: an index is out of range") from None
+    # the row count bounds the size before bincount allocates it
+    size = math.prod(shape)
+    if len(flat) != size or (np.bincount(flat, minlength=size) != 1).any():
+        raise ValueError(f"{what}: a cell is missing or written twice")
+    out = np.empty(size, dtype=np.int64)
+    out[flat] = values
+    return out.reshape(shape)
 
 
 def read_dataset(src):
@@ -941,80 +1110,63 @@ def read_dataset(src):
     table = [rows] if rows else []
     header_row, *data = table + list(reader)
 
-    def _by_direction():
+    def by_direction(column):
         out = {}
-        for row in data:
-            out.setdefault(row[0], []).append(row[1:])
-        return out
+        try:
+            for row in data:
+                out.setdefault(row[column], []).append(row)
+        except IndexError:
+            raise ValueError("a row has too few columns") from None
+        return out.items()
 
     if kind == "total_spin":
         blocks = {}
-        for axis, items in _by_direction().items():
-            arr = np.empty(k, dtype=np.int64)
-            for rep, value in ((int(r[0]), int(r[1])) for r in items):
-                arr[rep] = value
-            blocks[axis] = arr
-        return TotalSpinDataset(n, {Direction(a): v for a, v in blocks.items()}, k=k)
+        for axis, rows in by_direction(0):
+            what = f"direction {axis}"
+            rep, value = _int_columns(rows, (1, 2), what)
+            blocks[Direction(axis)] = _cells((k,), (rep,), value, what)
+        return TotalSpinDataset(n, blocks, k=k)
 
-    if kind in ("pairs", "split"):
-        slot_of = {
-            (int(i), int(j)): s
-            for s, (i, j) in enumerate(
-                ordered_pairs(n) if kind == "pairs" else square_pairs(n)
-            )
-        }
-        cols = len(slot_of)
-        width = k if kind == "pairs" else k // 2
-        first = {}
-        second = {}
-        for axis, items in _by_direction().items():
-            f = np.empty((cols, width), dtype=np.int64)
-            s = np.empty((cols, width), dtype=np.int64)
-            for row in items:
-                slot = slot_of[(int(row[0]), int(row[1]))]
-                rep = int(row[2])
-                if kind == "pairs":
-                    f[slot, rep] = int(row[3])
-                    s[slot, rep] = int(row[4])
-                elif row[3] == "first":
-                    f[slot, rep] = int(row[4])
-                else:
-                    s[slot, rep] = int(row[4])
-            first[Direction(axis)] = f
-            second[Direction(axis)] = s
-        if kind == "pairs":
-            return PairDataset(n, first, second, k=k)
-        return SplitSingleDataset(n, first, second, k=k)
-
-    if kind in ("random_pairs", "random_split"):
-        width = k if kind == "random_pairs" else k // 2
-        per_dir = {}
-        for row in data:
-            slot, axis = int(row[0]), row[1]
-            per_dir.setdefault(axis, {}).setdefault(slot, []).append(row[2:])
-        slots = {}
-        first = {}
-        second = {}
-        for axis, by_slot in per_dir.items():
-            sl = np.empty((l, 2), dtype=np.int64)
-            f = np.empty((l, width), dtype=np.int64)
-            s = np.empty((l, width), dtype=np.int64)
-            for slot, items in by_slot.items():
-                sl[slot] = (int(items[0][0]), int(items[0][1]))
-                for row in items:
-                    rep = int(row[2])
-                    if kind == "random_pairs":
-                        f[slot, rep] = int(row[3])
-                        s[slot, rep] = int(row[4])
-                    elif row[3] == "first":
-                        f[slot, rep] = int(row[4])
-                    else:
-                        s[slot, rep] = int(row[4])
-            slots[Direction(axis)] = sl
-            first[Direction(axis)] = f
-            second[Direction(axis)] = s
-        if kind == "random_pairs":
-            return RandomPairDataset(n, slots, first, second, l=l, k=k)
-        return RandomSplitDataset(n, slots, first, second, l=l, k=k)
-
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    if kind not in ("pairs", "split", "random_pairs", "random_split"):
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    # columns: [slot,] direction, i, j, rep, then si2, sj2 or who, who_s2
+    random = kind.startswith("random_")
+    split = kind.endswith("split")
+    if random and l is None:
+        raise ValueError(f"{kind} header needs l")
+    cells = l if random else n * n if split else n * (n - 1)
+    slot_of = {(int(i), int(j)): s
+               for s, (i, j) in enumerate(square_pairs(n) if split else ordered_pairs(n))}
+    c = int(random)  # the random kinds lead with the slot column
+    slots = {}
+    first = {}
+    second = {}
+    for axis, rows in by_direction(c):
+        what = f"direction {axis}"
+        axis = Direction(axis)
+        # the last column first, so that a short row fails as a ValueError
+        if split:
+            rep, value = _int_columns(rows, (c + 3, c + 5), what)
+            who = np.array([_WHO.get(r[c + 4], -1) for r in rows])
+        else:
+            rep, a, b = _int_columns(rows, (c + 3, c + 4, c + 5), what)
+        if random:
+            slot, i, j = _int_columns(rows, (0, 2, 3), what)
+        else:
+            slot = np.array([slot_of.get((int(r[1]), int(r[2])), -1) for r in rows])
+        if split:
+            shape = (2, cells, k // 2)
+            first[axis], second[axis] = _cells(shape, (who, slot, rep), value, what)
+        else:
+            first[axis] = _cells((cells, k), (slot, rep), a, what)
+            second[axis] = _cells((cells, k), (slot, rep), b, what)
+        if random:
+            # every slot has rows now, and all of them must name the same pair
+            pair = np.stack([i, j], axis=1)
+            slots[axis] = np.empty((l, 2), dtype=np.int64)
+            slots[axis][slot] = pair
+            if (slots[axis][slot] != pair).any():
+                raise ValueError(f"{what}: the rows of a slot name different pairs")
+    if random:
+        return _KINDS[kind].cls(n, slots, first, second, l=l, k=k)
+    return _KINDS[kind].cls(n, first, second, k=k)

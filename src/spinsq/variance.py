@@ -1,9 +1,11 @@
 """Exact sampling variances of the scheme estimators.
 
-Every estimator in :mod:`spinsq.schemes` is unbiased; this module gives the
-closed-form variance of each one as a functional of the state's moment table
-(collective moments plus the pair/single aggregate sums), and composes them
-into the variance of a full parameter estimate.
+Every estimator in :mod:`spinsq.schemes` is unbiased, and the scheme table
+there pairs each with the core of its closed-form variance, a functional of
+the state's moment table (collective moments plus the pair/single aggregate
+sums).  This module checks budgets against the table, evaluates the cores on
+moment tables and composes them into the variance of a full parameter
+estimate.
 
 All formulas are polynomial in the aggregates with a single final division,
 so they evaluate exactly when fed rational aggregates (``exact=True``) and in
@@ -16,8 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .schemes import Parameter, ParameterKind, Scheme, sample_cost
-from .states import DIRECTIONS, Direction, MomentTable, moment_table
+from .schemes import (
+    _SCHEMES,
+    Parameter,
+    ParameterKind,
+    Scheme,
+    _budget,
+    _parameter_blocks,
+    compose_parameter,
+    sample_cost,
+)
+from .states import Direction, MomentTable, moment_table
 
 __all__ = [
     "UnsupportedAnalyticCaseError",
@@ -47,109 +58,35 @@ def _table(obj) -> MomentTable:
     return moment_table(obj)
 
 
-def _promote(n, aggs):
-    """Match the numeric type of ``n`` to the aggregates (exact vs float)."""
-    if any(isinstance(v, Fraction) for v in aggs.values()):
-        return Fraction(n)
-    return n
+def _rule(scheme, block):
+    """The table's rule for one block of a scheme."""
+    try:
+        return _SCHEMES[Scheme(scheme)].blocks[block]
+    except KeyError:
+        raise ValueError(f"unknown block {block!r}") from None
 
 
-def _check_k(k, minimum=1, even=False, what="K"):
-    if k is None or k < minimum:
-        raise ValueError(f"budget {what} must be an integer >= {minimum}")
-    if even and k % 2:
-        raise ValueError(f"budget {what} must be even")
+def _check_budget(rule, k, l):
+    """Reject a budget outside the block's variance formula."""
+    if rule.k_only is not None and k != rule.k_only:
+        raise UnsupportedAnalyticCaseError(
+            f"this variance formula is derived for K = {rule.k_only} only"
+        )
+    if rule.l_min and (l is None or l < rule.l_min):
+        raise ValueError(f"budget L must be an integer >= {rule.l_min}")
+    if k is None or k < rule.k_min:
+        raise ValueError(f"budget K must be an integer >= {rule.k_min}")
+    if rule.k_even and k % 2:
+        raise ValueError("budget K must be even")
 
 
-# --------------------------------------------------------------------------
-# scalar cores (aggregates dict -> variance of one estimator)
-# --------------------------------------------------------------------------
-
-
-def _core_ts_j2(aggs, k):
-    j2, j4 = aggs["j2"], aggs["j4"]
-    return (j4 - j2 * j2) / k
-
-
-def _core_ts_dj2(aggs, k):
-    j1, j2, j3, j4 = aggs["j1"], aggs["j2"], aggs["j3"], aggs["j4"]
-    return (
-        (j4 - j2 * j2 - 4 * j3 * j1) * (k - 1)
-        + 2 * j2 * j2
-        + 2 * (2 * k - 3) * (2 * j2 * j1 * j1 - j1 ** 4)
-    ) / (k * (k - 1))
-
-
-def _core_ap_j2(n, aggs, k):
-    n = _promote(n, aggs)
-    return (n * (n - 1) - aggs["corr_sq_sum"]) / (16 * k)
-
-
-def _core_ap_dj2(n, aggs, k):
-    n = _promote(n, aggs)
-    j1, j2 = aggs["j1"], aggs["j2"]
-    s1sq = aggs["single_sq_sum"]
-    smix = aggs["mixed_corr_sum"]
-    w1 = (n - 1) * (n - 1)
-
-    g = (n - 1) * j1 * j1 + n / 4 - s1sq / 4
-    h = j2 + n * (n - 2) * j1 * j1 - n / 4 + s1sq / 4
-    w = (
-        k * (k - 1) * (k - 2) * (k - 3) * w1 * w1 * j1 ** 4
-        + k * (k - 1) * (k - 2) * w1 * j1 * j1 * (2 * (n - 1) * g + 2 * h)
-        + k * (k - 1) * (w1 * g * g + h * h)
-        - k * k * (k - 1) * (k - 1) * w1 * w1 * j1 ** 4
-    )
-    cov = (
-        k * (k - 1) * (k - 2) * (j2 - n / 4) * w1 * j1 * j1
-        + k
-        * (k - 1)
-        * (n - 1)
-        * j1
-        * ((n - 1) / 2 * j1 + 2 * (n - 1) * j1 * (j2 - n / 4) - smix / 8)
-        - k * k * (k - 1) * w1 * j1 * j1 * (j2 - n / 4)
-    )
-    return (
-        _core_ap_j2(n, aggs, k)
-        + w / (k * k * (k - 1) * (k - 1) * w1 * w1)
-        - 2 * cov / (k * k * (k - 1) * w1)
-    )
-
-
-def _core_split_jsq(n, aggs, k):
-    n = _promote(n, aggs)
-    s1sq = aggs["single_sq_sum"]
-    return (n * n - s1sq * s1sq) / (8 * k)
-
-
-def _core_rp_j2(n, aggs, l, k):
-    n = _promote(n, aggs)
-    j2 = aggs["j2"]
-    return (n ** 3 * (n - 2) - 16 * j2 * j2 + 8 * n * j2) / (16 * k * l)
-
-
-def _core_rp_dj2(n, aggs, l):
-    n = _promote(n, aggs)
-    j1, j2 = aggs["j1"], aggs["j2"]
-    w1 = (n - 1) * (n - 1)
-    num = (
-        -32 * j1 ** 4 * (2 * l - 3) * w1
-        - 8
-        * j1
-        * j1
-        * (n - 1)
-        * (4 * j2 * (-3 * l * n + 2 * l + 4 * n - 2) + n * n * (l * n - 2))
-        - 16 * j2 * j2 * (l * w1 - 2 * n * (n - 1) - 1)
-        + 8 * j2 * n * (l * w1 - 2 * n * (n - 1) - 1)
-        + n ** 3 * (l * (n - 2) * w1 + n * (2 * n - 3) + 2)
-    )
-    return num / (16 * l * (l - 1) * w1)
-
-
-def _core_rsplit_jsq(n, aggs, l, k):
-    n = _promote(n, aggs)
-    j1 = aggs["j1"]
-    return (n ** 4 - 16 * j1 ** 4) / (8 * k * l)
+def _estimator_variance(mt, scheme, block, axis, k, l, exact, split=False):
+    """One estimator's variance: a block's core, or its split-run core."""
+    rule = _rule(scheme, block)
+    _check_budget(rule, k, l)
+    mt = _table(mt)
+    core = rule.split_core if split else rule.core
+    return core(mt.n_qubits, mt.aggregates(Direction(axis), exact), k, l)
 
 
 # --------------------------------------------------------------------------
@@ -159,45 +96,32 @@ def _core_rsplit_jsq(n, aggs, l, k):
 
 def var_J2_ts(mt, axis, k, *, exact=False):
     """Variance of the direct second-moment estimator."""
-    _check_k(k)
-    mt = _table(mt)
-    return _core_ts_j2(mt.aggregates(Direction(axis), exact), k)
+    return _estimator_variance(mt, Scheme.TS, "j2", axis, k, None, exact)
 
 
 def var_deltaJ2_ts(mt, axis, k, *, exact=False):
     """Variance of the direct sample-variance estimator (K >= 2)."""
-    _check_k(k, minimum=2)
-    mt = _table(mt)
-    return _core_ts_dj2(mt.aggregates(Direction(axis), exact), k)
+    return _estimator_variance(mt, Scheme.TS, "dj2", axis, k, None, exact)
 
 
 def var_J2_ap(mt, axis, k, *, exact=False):
     """Variance of the all-pairs second-moment estimator."""
-    _check_k(k)
-    mt = _table(mt)
-    return _core_ap_j2(mt.n_qubits, mt.aggregates(Direction(axis), exact), k)
+    return _estimator_variance(mt, Scheme.AP1, "j2", axis, k, None, exact)
 
 
 def var_deltaJ2_ap(mt, axis, k, *, exact=False):
     """Variance of the all-pairs variance estimator (K >= 2)."""
-    _check_k(k, minimum=2)
-    mt = _table(mt)
-    return _core_ap_dj2(mt.n_qubits, mt.aggregates(Direction(axis), exact), k)
+    return _estimator_variance(mt, Scheme.AP1, "dj2", axis, k, None, exact)
 
 
 def var_Jsq_split(mt, axis, k, *, exact=False):
     """Variance of the split squared-first-moment estimator (even K)."""
-    _check_k(k, minimum=2, even=True)
-    mt = _table(mt)
-    return _core_split_jsq(mt.n_qubits, mt.aggregates(Direction(axis), exact), k)
+    return _estimator_variance(mt, Scheme.AP2, "dj2", axis, k, None, exact, split=True)
 
 
 def var_J2_rp(mt, axis, l, k, *, exact=False):
     """Variance of the random-pair second-moment estimator."""
-    _check_k(l, what="L")
-    _check_k(k)
-    mt = _table(mt)
-    return _core_rp_j2(mt.n_qubits, mt.aggregates(Direction(axis), exact), l, k)
+    return _estimator_variance(mt, Scheme.RP1, "j2", axis, k, l, exact)
 
 
 def var_deltaJ2_rp(mt, axis, l, k=1, *, exact=False):
@@ -206,21 +130,12 @@ def var_deltaJ2_rp(mt, axis, l, k=1, *, exact=False):
     Analytic only for one repetition per sampled slot (K = 1); other K raise
     :class:`UnsupportedAnalyticCaseError`.
     """
-    if k != 1:
-        raise UnsupportedAnalyticCaseError(
-            "the random-pair variance formula is derived for K = 1 only"
-        )
-    _check_k(l, minimum=2, what="L")
-    mt = _table(mt)
-    return _core_rp_dj2(mt.n_qubits, mt.aggregates(Direction(axis), exact), l)
+    return _estimator_variance(mt, Scheme.RP1, "dj2", axis, k, l, exact)
 
 
 def var_Jsq_rsplit(mt, axis, l, k, *, exact=False):
     """Variance of the random split squared-first-moment estimator."""
-    _check_k(l, what="L")
-    _check_k(k, minimum=2, even=True)
-    mt = _table(mt)
-    return _core_rsplit_jsq(mt.n_qubits, mt.aggregates(Direction(axis), exact), l, k)
+    return _estimator_variance(mt, Scheme.RP2, "dj2", axis, k, l, exact, split=True)
 
 
 # --------------------------------------------------------------------------
@@ -234,38 +149,12 @@ def block_variance(scheme, block, n, aggs, *, k=None, l=None):
     This is the seam the noise/budget sweeps drive directly with rescaled
     aggregate dictionaries, bypassing moment-table construction.
     """
-    scheme = Scheme(scheme)
-    if block not in ("j2", "dj2"):
-        raise ValueError(f"unknown block {block!r}")
-    if scheme is Scheme.TS:
-        _check_k(k, minimum=1 if block == "j2" else 2)
-        return _core_ts_j2(aggs, k) if block == "j2" else _core_ts_dj2(aggs, k)
-    if scheme is Scheme.AP1:
-        _check_k(k, minimum=1 if block == "j2" else 2)
-        return _core_ap_j2(n, aggs, k) if block == "j2" else _core_ap_dj2(n, aggs, k)
-    if scheme is Scheme.AP2:
-        if block == "j2":
-            _check_k(k)
-            return _core_ap_j2(n, aggs, k)
-        _check_k(k, minimum=2, even=True)
-        return _core_ap_j2(n, aggs, k) + _core_split_jsq(n, aggs, k)
-    if scheme is Scheme.RP1:
-        _check_k(l, what="L")
-        if block == "j2":
-            _check_k(k)
-            return _core_rp_j2(n, aggs, l, k)
-        if k != 1:
-            raise UnsupportedAnalyticCaseError(
-                "the random-pair variance formula is derived for K = 1 only"
-            )
-        _check_k(l, minimum=2, what="L")
-        return _core_rp_dj2(n, aggs, l)
-    _check_k(l, what="L")
-    if block == "j2":
-        _check_k(k)
-        return _core_rp_j2(n, aggs, l, k)
-    _check_k(k, minimum=2, even=True)
-    return _core_rp_j2(n, aggs, l, k) + _core_rsplit_jsq(n, aggs, l, k)
+    rule = _rule(scheme, block)
+    _check_budget(rule, k, l)
+    v = rule.core(n, aggs, k, l)
+    if rule.split_core is None:
+        return v
+    return v + rule.split_core(n, aggs, k, l)
 
 
 @dataclass(frozen=True)
@@ -298,38 +187,15 @@ class VarianceReport:
 def parameter_value(mt, parameter: Parameter, *, exact=False):
     """The parameter itself (not an estimate) from the moment table."""
     mt = _table(mt)
-    n = mt.n_qubits
-
-    def j2(ax):
-        v = mt.moment(ax, 2)
-        return Fraction(v) if exact else float(v)
-
-    def dj2(ax):
-        v = mt.moment(ax, 2) - mt.moment(ax, 1) ** 2
-        return Fraction(v) if exact else float(v)
-
-    kind = parameter.kind
-    if kind is ParameterKind.A:
-        return sum(j2(ax) for ax in DIRECTIONS)
-    if kind is ParameterKind.B:
-        return sum(dj2(ax) for ax in DIRECTIONS)
-    ka, la, ma = parameter.axes
-    if kind is ParameterKind.C:
-        return j2(ka) + j2(la) - (n - 1) * dj2(ma)
-    return (n - 1) * (dj2(ka) + dj2(la)) - j2(ma)
-
-
-def _blocks_for(parameter: Parameter):
-    kind = parameter.kind
-    one = Fraction(1)
-    if kind is ParameterKind.A:
-        return [(ax, "j2", 1) for ax in DIRECTIONS]
-    if kind is ParameterKind.B:
-        return [(ax, "dj2", 1) for ax in DIRECTIONS]
-    ka, la, ma = parameter.axes
-    if kind is ParameterKind.C:
-        return [(ka, "j2", 1), (la, "j2", 1), (ma, "dj2", "w2")]
-    return [(ka, "dj2", "w2"), (la, "dj2", "w2"), (ma, "j2", 1)]
+    number = Fraction if exact else float
+    j2 = {}
+    dj2 = {}
+    for ax, block, _ in _parameter_blocks(parameter):
+        if block == "j2":
+            j2[ax] = number(mt.moment(ax, 2))
+        else:
+            dj2[ax] = number(mt.moment(ax, 2) - mt.moment(ax, 1) ** 2)
+    return compose_parameter(parameter, mt.n_qubits, j2, dj2)
 
 
 def var_parameter(mt, scheme, parameter: Parameter, *, k=None, l=None, exact=False):
@@ -345,18 +211,15 @@ def var_parameter(mt, scheme, parameter: Parameter, *, k=None, l=None, exact=Fal
     w2 = (n - 1) * (n - 1)
     contributions = {}
     aggregates = {}
-    for ax, block, weight in _blocks_for(parameter):
+    for ax, block, scaled in _parameter_blocks(parameter):
         aggs = mt.aggregates(ax, exact)
         aggregates.setdefault(ax.value, aggs)
         v = block_variance(scheme, block, n, aggs, k=k, l=l)
-        if weight == "w2":
+        if scaled:
             v = w2 * v
         contributions[f"{block}_{ax.value}"] = v
     value = sum(contributions.values())
-    budget = {"k": k} if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2) else {
-        "l": l,
-        "k": k,
-    }
+    budget = _budget(_SCHEMES[scheme].budget, k, l)
     cost = sample_cost(scheme, parameter, n, **budget)
     return VarianceReport(
         scheme, parameter, n, budget, value, contributions, aggregates, cost
@@ -379,7 +242,8 @@ def closed_form(scheme, parameter, family, n, *, k=None, l=None, exact=False):
 
     Supported: sum-of-variances (kind B) and planar-variance (kind D)
     parameters of the bonded-singlet state, and the planar-moment parameter
-    (kind C, m = z) of the half-excited symmetric state (even N).
+    (kind C, m = z) of the half-excited symmetric state (even N).  Budgets
+    are checked by the rules `var_parameter` applies.
     """
     scheme = Scheme(scheme)
     if isinstance(parameter, str):
@@ -397,19 +261,8 @@ def closed_form(scheme, parameter, family, n, *, k=None, l=None, exact=False):
         if parameter.m_axis is not Direction.Z:
             raise ValueError("the half-excited closed form fixes m = z")
 
-    if scheme in (Scheme.TS, Scheme.AP1, Scheme.AP2):
-        _check_k(k, minimum=2 if scheme is Scheme.AP1 else 1)
-        if scheme is Scheme.AP2:
-            _check_k(k, minimum=2, even=True)
-    elif scheme is Scheme.RP1:
-        _check_k(l, minimum=2, what="L")
-        if k not in (None, 1):
-            raise UnsupportedAnalyticCaseError(
-                "random-pair closed forms are derived for K = 1"
-            )
-    else:
-        _check_k(l, what="L")
-        _check_k(k, minimum=2, even=True)
+    for _, block, _ in _parameter_blocks(parameter):
+        _check_budget(_rule(scheme, block), k, l)
 
     value = _closed_form_value(scheme, parameter.kind, family, n, k, l)
     return value if exact else float(value)

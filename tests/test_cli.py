@@ -214,6 +214,88 @@ def test_estimate_rejects_out_of_range_total_spin(tmp_path):
     assert "2m" in json.loads(err)["error"]
 
 
+def _edited_sample(tmp_path, pattern, budget, edit):
+    """Sample a dicke:4:2 dataset, apply ``edit`` to its data rows, return the path."""
+    dest = tmp_path / f"{pattern}.csv"
+    rc, *_ = run(["sample", "--state", "dicke:4:2", "--pattern", pattern, *budget,
+                  "--seed", "1", "--out", str(dest)])
+    assert rc == 0
+    lines = dest.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    dest.write_text("\n".join(lines[:head] + edit(lines[head:])) + "\n")
+    return dest
+
+
+def _assert_rejected(dest, scheme, match):
+    with pytest.raises(ValueError, match=match):
+        read_dataset(dest)
+    rc, out, err = run(["estimate", "--scheme", scheme, "--param", "c", str(dest)])
+    assert rc == 2
+    assert out == ""
+    assert match in json.loads(err)["error"]
+
+
+def _replace(prefix, new):
+    def edit(rows):
+        return [new if row.startswith(prefix) else row for row in rows]
+    return edit
+
+
+def test_estimate_rejects_missing_and_repeated_cells(tmp_path):
+    def drop_x1_repeat_x0(rows):
+        x0 = next(row for row in rows if row.startswith("x,0,"))
+        return [row for row in rows if not row.startswith("x,1,")] + [x0]
+
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"], drop_x1_repeat_x0)
+    _assert_rejected(dest, "ts", "missing or written twice")
+
+    def repeat_rep(rows):  # in slot 0 of x, repetition 1 claims repetition 0
+        out = []
+        for row in rows:
+            fields = row.split(",")
+            if fields[:2] == ["0", "x"] and fields[4] == "1":
+                fields[4] = "0"
+            out.append(",".join(fields))
+        return out
+
+    dest = _edited_sample(tmp_path, "rp", ["--l", "2", "--k", "2"], repeat_rep)
+    _assert_rejected(dest, "rp1", "missing or written twice")
+
+    # a header that claims 10^11 slots is refused before any array that size
+    dest.write_text(dest.read_text().replace(" l=2", " l=100000000000"))
+    _assert_rejected(dest, "rp1", "missing or written twice")
+
+
+def test_estimate_rejects_negative_rep_or_slot(tmp_path):
+    # numpy would wrap a negative index around to a cell at the far end
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"], _replace("x,0,", "x,-3,0"))
+    _assert_rejected(dest, "ts", "out of range")
+
+    def negative_slot(rows):
+        return ["-2" + row[1:] if row.startswith("0,") else row for row in rows]
+
+    dest = _edited_sample(tmp_path, "rp", ["--l", "2", "--k", "1"], negative_slot)
+    _assert_rejected(dest, "rp1", "out of range")
+
+
+def test_estimate_rejects_rep_beyond_k(tmp_path):
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"], _replace("x,2,", "x,3,0"))
+    _assert_rejected(dest, "ts", "out of range")
+
+
+def test_estimate_rejects_outcome_beyond_int64(tmp_path):
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"],
+                          _replace("z,0,", "z,0,99999999999999999999"))
+    _assert_rejected(dest, "ts", "does not fit in int64")
+
+
+def test_estimate_rejects_short_rows(tmp_path):
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"], _replace("x,1,", "x,1"))
+    _assert_rejected(dest, "ts", "too few columns")
+    dest = _edited_sample(tmp_path, "split", ["--k", "2"], _replace("x,0,1,0,first,", "x,0,1,0"))
+    _assert_rejected(dest, "ap2", "too few columns")
+
+
 def test_estimate_missing_file_is_io_error(tmp_path):
     rc, out, err = run(["estimate", "--scheme", "ts", "--param", "b",
                         str(tmp_path / "nope.csv")])

@@ -6,7 +6,6 @@ import pytest
 from spinsq.hypothesis import (
     SampleSizeResult,
     _aggs_at,
-    _budget_args,
     _family_tables,
     _maximize_over_grid,
     _variance_at,
@@ -18,7 +17,7 @@ from spinsq.hypothesis import (
     required_budget,
     separable_bound,
 )
-from spinsq.schemes import Parameter, Scheme
+from spinsq.schemes import _SCHEMES, Parameter, Scheme
 from spinsq.states import DIRECTIONS, DepolarizedMixture, DickeState, moment_table
 from spinsq.variance import var_parameter
 
@@ -121,7 +120,7 @@ def test_profiles_reproduce_direct_evaluation():
         scheme = Scheme(name)
         f1, f2 = _variance_profiles(scheme, Parameter("c"), n, tables, grid)
         for b in budgets:
-            args = _budget_args(Scheme(scheme), b)
+            args = _SCHEMES[scheme].plan_budget(b)
             direct = np.array(
                 [_variance_at(scheme, Parameter("c"), n, tables, p, **args) for p in grid]
             )
@@ -171,7 +170,7 @@ def test_refinement_consistent_with_grid():
 
 
 def _bound_at(scheme, budget, t):
-    kw = _budget_args(Scheme(scheme), budget)
+    kw = _SCHEMES[Scheme(scheme)].plan_budget(budget)
     _, v = max_variance_over_noise(scheme, "c", 10, **kw)
     return cantelli_bound(v, t)
 
@@ -238,11 +237,44 @@ def test_planner_validation():
         required_budget("ts", "c", 10, gamma=0.0)
 
 
+# (budget, total preparations) of the fig9 sweep: parameter c, N = 4, 6, ..., 20
+# (the budgets are those perfbench/fig9_budgets.json checks)
+_FIG9 = {
+    "ts": [
+        (8134, 24402), (21731, 65193), (42693, 128079),
+        (71176, 213528), (107237, 321711), (150903, 452709),
+        (202186, 606558), (261093, 783279), (327609, 982827),
+    ],
+    "ap1": [
+        (3919, 141084), (10688, 961920), (21197, 3561096),
+        (35483, 9580410), (53557, 21208572), (75424, 41181504),
+        (101086, 72781920), (130546, 119841228), (163804, 186736560),
+    ],
+    "ap2": [
+        (12470, 648440), (34438, 4339188), (67748, 15717536),
+        (112434, 41600580), (168508, 90994320), (235974, 175092708),
+        (314836, 307279936), (405096, 503129232), (506754, 780401160),
+    ],
+    "rp1": [
+        (47027, 141081), (320627, 961881), (1187027, 3561081),
+        (3193427, 9580281), (7069427, 21208281), (13727027, 41181081),
+        (24260627, 72781881), (39947027, 119841081), (62245427, 186736281),
+    ],
+    "rp2": [
+        (183826, 735304), (1175626, 4702504), (4166226, 16664904),
+        (10888426, 43553704), (23622226, 94488904), (45194826, 180779304),
+        (78980626, 315922504), (128901226, 515604904), (199425426, 797701704),
+    ],
+}
+
+
 def test_planner_growth_and_scheme_minimum():
     ns = range(4, 21, 2)
     by_scheme = {}
     for scheme in ("ts", "ap1", "ap2", "rp1", "rp2"):
-        totals = [required_budget(scheme, "c", n).total_preparations for n in ns]
+        results = [required_budget(scheme, "c", n) for n in ns]
+        assert [(r.budget, r.total_preparations) for r in results] == _FIG9[scheme]
+        totals = [r.total_preparations for r in results]
         assert all(a <= b for a, b in zip(totals, totals[1:])), scheme
         by_scheme[scheme] = totals
     for i in range(len(list(ns))):

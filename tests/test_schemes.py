@@ -38,7 +38,9 @@ from spinsq.schemes import (
     square_pairs,
     write_dataset,
 )
+from spinsq.montecarlo import run_trials
 from spinsq.states import DickeState, DepolarizedMixture, Direction, ManyBodySinglet
+from spinsq.variance import var_parameter
 
 from oracles import (
     _est_deltaJ2_ap_naive,
@@ -420,6 +422,37 @@ def test_sample_cost_split_direction_counts():
     assert sample_cost("ap2", Parameter("d"), n, k=k) == base + 2 * n * n * k
     assert sample_cost("ap2", Parameter("b"), n, k=k) == base + 3 * n * n * k
     assert sample_cost("rp2", Parameter("b"), n, l=50, k=2) == 3 * 100 + 3 * 100
+
+
+def _preparations(ds):
+    """State preparations behind a dataset: one per recorded run."""
+    if isinstance(ds, TotalSpinDataset):
+        return sum(a.size for a in ds.outcomes.values())
+    if isinstance(ds, (PairDataset, RandomPairDataset)):  # one run per joint outcome
+        return sum(a.size for a in ds.first.values())
+    return sum(a.size for a in (*ds.first.values(), *ds.second.values()))
+
+
+@pytest.mark.parametrize("scheme,budget", [
+    ("ts", dict(k=3)),
+    ("ap1", dict(k=2)),
+    ("ap2", dict(k=2)),
+    ("rp1", dict(l=3, k=1)),
+    ("rp2", dict(l=3, k=2)),
+])
+@pytest.mark.parametrize("spec", ["a", "b", "c", "d:kzlxmy"])
+def test_scheme_table_is_consistent(scheme, budget, spec):
+    # the collectors, the cost, the trial harness and the variance engine all
+    # read the scheme table; they must agree on preparations and budgets
+    state = DickeState(4, 2)
+    parameter = Parameter.parse(spec)
+    datasets = collect_datasets(state, scheme, parameter, np.random.default_rng(5), **budget)
+    result = estimate_parameter(scheme, parameter, datasets)
+    cost = sample_cost(scheme, parameter, 4, **budget)
+    assert sum(_preparations(ds) for ds in datasets.values()) == cost == result.samples_used
+    stats = run_trials(state, scheme, parameter, trials=2, threads=1, **budget)
+    report = var_parameter(state, scheme, parameter, **budget)
+    assert stats.config["budget"] == dict(report.budget) == dict(result.budget) == budget
 
 
 def test_sample_cost_ts_ignores_parameter_kind():

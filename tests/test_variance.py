@@ -92,7 +92,7 @@ def test_var_jsq_rsplit_values():
 def test_var_dj2_rp_matches_closed_form_share():
     # isotropic state: one direction carries a third of the three-direction sum
     per_dir = var_deltaJ2_rp(SINGLET8, X, 5, exact=True)
-    total = closed_form("rp1", "b", "singlet", 8, l=5, exact=True)
+    total = closed_form("rp1", "b", "singlet", 8, l=5, k=1, exact=True)
     assert 3 * per_dir == total
 
 
@@ -154,6 +154,29 @@ def test_closed_form_examples():
     )
     assert closed_form("ts", "b", "singlet", 8, k=100) == 0
     assert closed_form("ap2", "d", "singlet", 8, k=10) == pytest.approx(108.1)
+
+
+def test_closed_form_takes_the_budgets_var_parameter_takes():
+    with pytest.raises(ValueError, match="K must be an integer >= 2"):
+        closed_form("ts", "c", "dicke_half", 10, k=1)
+    with pytest.raises(UnsupportedAnalyticCaseError):
+        closed_form("rp1", "b", "singlet", 4, l=5)  # K omitted
+    states = {"singlet": ManyBodySinglet(4), "dicke_half": DickeState(4, 2)}
+
+    def accepts(call):
+        try:
+            call()
+        except ValueError:
+            return False
+        return True
+
+    for scheme in ("ts", "ap1", "ap2", "rp1", "rp2"):
+        for kind, family in (("b", "singlet"), ("d", "singlet"), ("c", "dicke_half")):
+            for k, l in itertools.product((None, 1, 2, 3, 4), (None, 1, 2, 3)):
+                engine = accepts(lambda: var_parameter(
+                    states[family], scheme, Parameter(kind), k=k, l=l))
+                closed = accepts(lambda: closed_form(scheme, kind, family, 4, k=k, l=l))
+                assert engine == closed, (scheme, kind, k, l)
 
 
 def test_closed_form_rejects_unsupported():
