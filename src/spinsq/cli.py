@@ -100,6 +100,8 @@ def _parse_state(spec: str):
         n = int(rest[0])
     except ValueError:
         raise bad(f"qubit count must be an integer, got {rest[0]!r}") from None
+    if n < 2:
+        raise bad(f"need N >= 2 qubits, got {n}")
     rest = rest[1:]
 
     if family == "dicke":
@@ -317,7 +319,7 @@ def _cmd_mc(args) -> int:
         trials=_require(args, "trials"),
         master_seed=seed,
         threads=args.threads or 0,
-        bins=args.bins or 99,
+        bins=99 if args.bins is None else args.bins,
         bin_width=args.bin_width,
         **budget,
     )

@@ -40,6 +40,7 @@ __all__ = [
 
 _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-6
+_GRID = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,8 @@ def critical_noise(n: int) -> float:
 
 def _family_tables(n: int):
     """Per-axis (pure-state, fully-mixed) aggregate pairs for the family."""
+    if n < 2:
+        raise ValueError("the depolarized-Dicke family needs N >= 2")
     base = moment_table(DickeState(n, n // 2))
     mixed = moment_table(DepolarizedMixture(DickeState(n, n // 2), 0))
     return {
@@ -137,12 +140,13 @@ def _family_tables(n: int):
     }
 
 
-def _aggs_at(base: dict, mixed: dict, p: float) -> dict:
+def _aggs_at(base: dict, mixed: dict, p) -> dict:
     """Aggregates of the depolarized state at noise parameter p.
 
-    Collective moments are linear in p; the pair/single aggregate sums are
-    quadratic (they are sums of squared/bilinear single-state functionals,
-    and the fully mixed component has none).
+    ``p`` may be a scalar or an array of noise values.  Collective moments
+    are linear in p; the pair/single aggregate sums are quadratic (they are
+    sums of squared/bilinear single-state functionals, and the fully mixed
+    component has none).
     """
     out = {key: p * base[key] + (1 - p) * mixed[key] for key in ("j1", "j2", "j3", "j4")}
     pp = p * p
@@ -182,8 +186,11 @@ def _golden_max(fn, lo: float, hi: float, tol: float = _REFINE_TOL):
 
 
 def _maximize_over_grid(fn, grid):
-    """Dense-grid argmax plus golden refinement in the bracketing cells."""
-    values = np.array([fn(p) for p in grid])
+    """Dense-grid argmax plus golden refinement in the bracketing cells.
+
+    ``fn`` takes the whole grid as one array and single points as floats.
+    """
+    values = fn(grid)
     i = int(values.argmax())
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -195,6 +202,13 @@ def _maximize_over_grid(fn, grid):
     return p, v
 
 
+def _worst_case(scheme, parameter, n, tables, budget):
+    """``(p_max, var_max)`` of the parameter variance over the family."""
+    return _maximize_over_grid(
+        lambda p: _variance_at(scheme, parameter, n, tables, p, **budget), _GRID
+    )
+
+
 def max_variance_over_noise(scheme, parameter, n, *, k=None, l=None):
     """Worst-case parameter variance over depolarization p in [0, 1].
 
@@ -204,40 +218,12 @@ def max_variance_over_noise(scheme, parameter, n, *, k=None, l=None):
     scheme = Scheme(scheme)
     if isinstance(parameter, str):
         parameter = Parameter.parse(parameter)
-    tables = _family_tables(n)
-    grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
-    return _maximize_over_grid(
-        lambda p: _variance_at(scheme, parameter, n, tables, p, k=k, l=l), grid
-    )
+    return _worst_case(scheme, parameter, n, _family_tables(n), {"k": k, "l": l})
 
 
 # --------------------------------------------------------------------------
 # sample-size planning
 # --------------------------------------------------------------------------
-
-
-def _variance_profiles(scheme, parameter, n, tables, grid):
-    """Budget dependence factored out: var(p, B) = f1(p)/B + f2(p)/(B(B-1)).
-
-    Every scheme's block variances are of this form in its budget scalar
-    (f2 = 0 where only 1/B terms appear), so two evaluations at distinct
-    budgets determine the profile for the whole grid at once.
-    """
-    row = _SCHEMES[scheme]
-    b1, b2 = row.plan_min, row.plan_min + row.plan_step
-
-    def sample(b):
-        args = row.plan_budget(b)
-        return np.array(
-            [_variance_at(scheme, parameter, n, tables, p, **args) for p in grid]
-        )
-
-    v1, v2 = sample(b1), sample(b2)
-    # solve v*B = f1 + f2/(B-1) at the two budgets
-    inv1, inv2 = 1.0 / (b1 - 1), 1.0 / (b2 - 1)
-    f2 = (v1 * b1 - v2 * b2) / (inv1 - inv2)
-    f1 = v1 * b1 - f2 * inv1
-    return f1, f2
 
 
 def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeResult:
@@ -258,19 +244,14 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
         raise ValueError("gamma must lie strictly between 0 and 1")
     target = 1 - gamma
     tables = _family_tables(n)
-    grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
-    f1, f2 = _variance_profiles(scheme, parameter, n, tables, grid)
     row = _SCHEMES[scheme]
 
     def grid_bound(b):
-        var = (f1 / b + f2 / (b * (b - 1))).max()
-        return cantelli_bound(var, t)
+        var = _variance_at(scheme, parameter, n, tables, _GRID, **row.plan_budget(b))
+        return cantelli_bound(var.max(), t)
 
     def refined(b):
-        args = row.plan_budget(b)
-        p, var = _maximize_over_grid(
-            lambda q: _variance_at(scheme, parameter, n, tables, q, **args), grid
-        )
+        p, var = _worst_case(scheme, parameter, n, tables, row.plan_budget(b))
         return p, var, cantelli_bound(var, t)
 
     # exponential search for a passing budget, then bisection (index space:

@@ -209,6 +209,10 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
     """
     if trials < 2:
         raise ValueError("need at least two trials")
+    if threads < 0:
+        raise ValueError("threads must be >= 0 (0 = automatic)")
+    if bins < 1:
+        raise ValueError("need at least one bin")
     scheme = Scheme(scheme)
     parameter = _as_parameter(parameter)
     budget = _budget(_SCHEMES[scheme].budget, k, l)

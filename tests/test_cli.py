@@ -57,10 +57,34 @@ def test_state_specs():
 
 
 @pytest.mark.parametrize("spec", ["", "ghz:4", "dicke", "dicke:x", "dicke:4:2:0.5:9",
-                                  "singlet:8:zz"])
+                                  "singlet:8:zz", "dicke:1"])
 def test_state_spec_rejects(spec):
     with pytest.raises(ValueError):
         _parse_state(spec)
+
+
+_ONE_QUBIT = {
+    "sample": ["sample", "--state", "dicke:1", "--pattern", "rp", "--l", "4",
+               "--k", "1", "--out", "{tmp}/rp.csv"],
+    "estimate": ["estimate", "--scheme", "ts", "--param", "c",
+                 "--state", "dicke:1", "{tmp}/ts.csv"],
+    "variance": ["variance", "--state", "dicke:1", "--scheme", "ap1",
+                 "--param", "c", "--k", "4"],
+    "samplesize-ap1": ["samplesize", "--scheme", "ap1", "--param", "c", "--n", "1"],
+    "samplesize-ts": ["samplesize", "--scheme", "ts", "--param", "c", "--n", "1"],
+    "mc": ["mc", "--state", "dicke:1", "--scheme", "rp1", "--param", "c",
+           "--l", "4", "--k", "1", "--trials", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ONE_QUBIT))
+def test_one_qubit_exits_two(command, tmp_path):
+    write_dataset(collect_total_spin(DickeState(2, 1), k=3, rng=child_generator(0, 0)),
+                  tmp_path / "ts.csv")
+    argv = [a.format(tmp=tmp_path) for a in _ONE_QUBIT[command]]
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert "N >= 2" in json.loads(err)["error"]
 
 
 def test_help_exits_zero():
@@ -391,6 +415,14 @@ def test_mc_histogram_csv(tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0].startswith("# spinsq-histogram")
     assert len(lines) == 4 + 10
+
+
+@pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--threads", "-3")])
+def test_mc_rejects_bad_bins_and_threads(flag, value):
+    rc, out, err = run(["mc", "--state", "dicke:6:3", "--scheme", "ts", "--param", "c",
+                        "--k", "30", "--trials", "25", flag, value])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["type"] == "ValueError"
 
 
 def test_mc_json_out_file(tmp_path):

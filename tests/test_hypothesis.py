@@ -9,7 +9,6 @@ from spinsq.hypothesis import (
     _family_tables,
     _maximize_over_grid,
     _variance_at,
-    _variance_profiles,
     cantelli_bound,
     critical_noise,
     max_variance_over_noise,
@@ -111,26 +110,38 @@ def test_variance_at_matches_var_parameter():
             assert seam == pytest.approx(direct, rel=1e-12)
 
 
-def test_profiles_reproduce_direct_evaluation():
-    n = 10
+@pytest.mark.parametrize("n", [4, 10, 20])
+def test_grid_evaluation_matches_pointwise(n):
+    # one array evaluation of the grid is bit for bit the per-point loop
     tables = _family_tables(n)
-    grid = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
-    for name, budgets in [("ts", (5, 40)), ("ap1", (4, 33)), ("ap2", (6, 20)),
-                          ("rp1", (7, 90)), ("rp2", (8, 44))]:
+    grid = np.arange(0.0, 1.0005, 1e-3)
+    for name, budgets in [("ts", (5, 71176)), ("ap1", (4, 35483)),
+                          ("ap2", (6, 112434)), ("rp1", (7, 3193427)),
+                          ("rp2", (8, 10888426))]:
         scheme = Scheme(name)
-        f1, f2 = _variance_profiles(scheme, Parameter("c"), n, tables, grid)
         for b in budgets:
             args = _SCHEMES[scheme].plan_budget(b)
-            direct = np.array(
+            curve = _variance_at(scheme, Parameter("c"), n, tables, grid, **args)
+            points = np.array(
                 [_variance_at(scheme, Parameter("c"), n, tables, p, **args) for p in grid]
             )
-            model = f1 / b + f2 / (b * (b - 1))
-            assert np.allclose(model, direct, rtol=1e-10)
+            assert np.array_equal(curve, points), (name, b)
+
+
+def test_family_requires_two_qubits():
+    with pytest.raises(ValueError):
+        _family_tables(1)
+    with pytest.raises(ValueError):
+        required_budget("ap1", "c", 1)
+    with pytest.raises(ValueError):
+        required_budget("ts", "c", 1)
+    with pytest.raises(ValueError):
+        max_variance_over_noise("ts", "c", 1, k=10)
 
 
 def test_maximize_constant_curve():
     grid = np.linspace(0, 1, 101)
-    p, v = _maximize_over_grid(lambda p: 3.0, grid)
+    p, v = _maximize_over_grid(lambda p: np.full(np.shape(p), 3.0), grid)
     assert v == 3.0
     assert 0 <= p <= 1
 
@@ -268,12 +279,24 @@ _FIG9 = {
 }
 
 
+# worst-case visibility of the same calls, as float.hex: bit-exact pins
+_FIG9_WORST_P = {
+    "ts": [
+        "0x1.875046a9afd71p-3", "0x1.0dcbddcff5873p-3", "0x1.6830ca284ca5dp-4",
+        "0x1.db208d768a3eep-5", "0x1.2c906ac9c75e7p-5", "0x1.55bf2baab9d23p-6",
+        "0x1.1c1355dcfb502p-7", "0x0.0p+0", "0x0.0p+0",
+    ],
+    **{scheme: ["0x0.0p+0"] * 9 for scheme in ("ap1", "ap2", "rp1", "rp2")},
+}
+
+
 def test_planner_growth_and_scheme_minimum():
     ns = range(4, 21, 2)
     by_scheme = {}
     for scheme in ("ts", "ap1", "ap2", "rp1", "rp2"):
         results = [required_budget(scheme, "c", n) for n in ns]
         assert [(r.budget, r.total_preparations) for r in results] == _FIG9[scheme]
+        assert [r.worst_case_p.hex() for r in results] == _FIG9_WORST_P[scheme]
         totals = [r.total_preparations for r in results]
         assert all(a <= b for a, b in zip(totals, totals[1:])), scheme
         by_scheme[scheme] = totals
