@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -129,15 +131,21 @@ def critical_noise(n: int) -> float:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def _family_tables(n: int):
-    """Per-axis (pure-state, fully-mixed) aggregate pairs for the family."""
+    """Per-axis (pure-state, fully-mixed) aggregate pairs for the family.
+
+    Built once per N, since the exact moment tables cost far more than a
+    planner search; every caller shares the read-only result.
+    """
     if n < 2:
         raise ValueError("the depolarized-Dicke family needs N >= 2")
     base = moment_table(DickeState(n, n // 2))
     mixed = moment_table(DepolarizedMixture(DickeState(n, n // 2), 0))
-    return {
-        ax: (base.aggregates(ax), mixed.aggregates(ax)) for ax in DIRECTIONS
-    }
+    return MappingProxyType({
+        ax: (MappingProxyType(base.aggregates(ax)), MappingProxyType(mixed.aggregates(ax)))
+        for ax in DIRECTIONS
+    })
 
 
 def _aggs_at(base: dict, mixed: dict, p) -> dict:

@@ -290,6 +290,11 @@ def sweep_noise(scheme, parameter, n, p_grid, *, k=None, l=None, trials=None,
     """
     if n < 2 or n % 2:
         raise ValueError("the sweep benchmark needs an even N >= 2")
+    # run_trials' own checks would come only after the first analytic row
+    if trials is not None and trials < 2:
+        raise ValueError("need at least two trials")
+    if threads < 0:
+        raise ValueError("threads must be >= 0 (0 = automatic)")
     scheme = Scheme(scheme)
     parameter = _as_parameter(parameter)
     rows = []
@@ -304,7 +309,7 @@ def sweep_noise(scheme, parameter, n, p_grid, *, k=None, l=None, trials=None,
                 var_parameter(state, scheme, parameter, k=k, l=l).value
             ),
         }
-        if trials:
+        if trials is not None:
             stats = run_trials(
                 state, scheme, parameter, k=k, l=l, trials=trials,
                 master_seed=child_seed(master_seed, index), threads=threads,

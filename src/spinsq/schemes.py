@@ -32,9 +32,9 @@ stream, and the same record, as calling ``sample_total_spin``,
 
 from __future__ import annotations
 
-import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -1014,8 +1014,38 @@ def sample_cost(scheme, parameter: Parameter, n: int, *, k=None, l=None) -> int:
 # --------------------------------------------------------------------------
 
 
+def _columns(kind) -> list:
+    """The CSV columns of a dataset kind, in file order."""
+    if kind == "total_spin":
+        return ["direction", "rep", "outcome2m"]
+    random, split = kind.startswith("random_"), kind.endswith("split")
+    return (["slot"] * random + ["direction", "i", "j", "rep"]
+            + (["who", "who_s2"] if split else ["si2", "sj2"]))
+
+
+_WHO = ("first", "second")
+# A text column is one character wider than its longest valid token, so a
+# longer token that loadtxt truncates to this width is never a valid one.
+_TEXT_COLUMNS = {"direction": "U2", "who": "U7"}
+
+
+def _format_rows(row, columns) -> str:
+    """The rows of ``row % values``, one per row of the integer ``columns``.
+
+    ``row`` is a ``%d`` template of the whole block or of one row, which is
+    repeated over the rows.
+    """
+    values = np.column_stack(columns)
+    template = row * (values.size // row.count("%d"))
+    return template % tuple(values.ravel().tolist())
+
+
 def write_dataset(ds, dest, meta=None) -> None:
-    """Write a dataset as CSV with a schema-version comment header."""
+    """Write a dataset as CSV with a schema-version comment header.
+
+    The format is described in the README: ``#`` lines end in ``\\n``, the
+    column header and the data rows in ``\\r\\n``, and no cell is quoted.
+    """
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with open(dest, "w", newline="") as fh:
             write_dataset(ds, fh, meta)
@@ -1028,41 +1058,30 @@ def write_dataset(ds, dest, meta=None) -> None:
     dest.write("# spinsq-dataset " + " ".join(tokens) + "\n")
     for key, value in (meta or {}).items():
         dest.write(f"# {key}={value}\n")
-    writer = csv.writer(dest)
+    dest.write(",".join(_columns(kind)) + "\r\n")
     if kind == "total_spin":
-        writer.writerow(["direction", "rep", "outcome2m"])
         for axis, arr in ds.outcomes.items():
-            writer.writerows([axis.value, rep, v] for rep, v in enumerate(arr.tolist()))
+            dest.write(_format_rows(f"{axis.value},%d,%d\r\n", [np.arange(ds.k), arr]))
         return
-    # the layout read_dataset parses: [slot,] direction, i, j, rep, outcomes
+    # rows in slot order, the repetitions of a slot consecutive; a split slot
+    # has its first-member series, then its second-member series
     random, split = kind.startswith("random_"), kind.endswith("split")
-    writer.writerow(["slot"] * random + ["direction", "i", "j", "rep"]
-                    + (["who", "who_s2"] if split else ["si2", "sj2"]))
     n = ds.n_qubits
     for axis in ds.first:
-        f, s = ds.first[axis].tolist(), ds.second[axis].tolist()
+        f, s = ds.first[axis], ds.second[axis]
         cells = ds.slots[axis] if random else square_pairs(n) if split else ordered_pairs(n)
-        for slot, (i, j) in enumerate(cells.tolist()):
-            lead = [slot, axis.value, i, j] if random else [axis.value, i, j]
-            if split:
-                writer.writerows(lead + [rep, "first", v] for rep, v in enumerate(f[slot]))
-                writer.writerows(lead + [rep, "second", v] for rep, v in enumerate(s[slot]))
-            else:
-                writer.writerows(lead + [rep, a, b]
-                                 for rep, (a, b) in enumerate(zip(f[slot], s[slot])))
-
-
-_WHO = {"first": 0, "second": 1}
-
-
-def _int_columns(rows, columns, what):
-    """The ``columns`` of the CSV ``rows`` as int64 arrays."""
-    try:
-        return [np.array([int(r[c]) for r in rows], dtype=np.int64) for c in columns]
-    except OverflowError:
-        raise ValueError(f"{what}: a value does not fit in int64") from None
-    except IndexError:
-        raise ValueError(f"{what}: a row has too few columns") from None
+        slots, reps = f.shape
+        lead = "%d," * random + axis.value + ",%d,%d,%d,"  # [slot,] direction, i, j, rep
+        per_slot = [np.arange(slots)] * random + [cells[:, 0], cells[:, 1]]
+        if split:
+            row = (lead + _WHO[0] + ",%d\r\n") * reps + (lead + _WHO[1] + ",%d\r\n") * reps
+            rep = np.tile(np.arange(reps), 2 * slots)
+            columns = [np.repeat(c, 2 * reps) for c in per_slot] + [rep, np.hstack([f, s]).ravel()]
+        else:
+            row = lead + "%d,%d\r\n"
+            rep = np.tile(np.arange(reps), slots)
+            columns = [np.repeat(c, reps) for c in per_slot] + [rep, f.ravel(), s.ravel()]
+        dest.write(_format_rows(row, columns))
 
 
 def _cells(shape, index, values, what):
@@ -1081,6 +1100,44 @@ def _cells(shape, index, values, what):
     out = np.empty(size, dtype=np.int64)
     out[flat] = values
     return out.reshape(shape)
+
+
+def _parse_rows(text, columns):
+    """The data rows of ``text`` as a structured array with the named ``columns``."""
+    # loadtxt skips blank lines; a row ends in \r\n, \r or \n
+    if text.startswith(("\r", "\n")) or "\n\n" in text or "\n\r" in text or "\r\r" in text:
+        raise ValueError("a row has too few columns: the file has a blank line")
+    dtype = np.dtype([(c, _TEXT_COLUMNS.get(c, np.int64)) for c in columns])
+    if not text:
+        return np.empty(0, dtype)
+    try:
+        # usecols: cells after the last column are ignored
+        return np.loadtxt(io.StringIO(text, newline=""), dtype=dtype, delimiter=",", comments=None,
+                          usecols=range(len(columns)), ndmin=1)
+    except ValueError as err:
+        message = str(err)
+        if message.startswith("invalid column index"):
+            raise ValueError("a row has too few columns") from None
+        if re.search(r"string '\s*[+-]?\d+\s*' to int64", message):
+            raise ValueError("a value does not fit in int64") from None
+        raise
+
+
+def _directions(column):
+    """``(axis, row mask)`` per direction of ``column``, in order of first row."""
+    masks = {axis: column == axis.value for axis in DIRECTIONS}
+    if not np.logical_or.reduce(list(masks.values())).all():
+        raise ValueError("a direction cell is not x, y or z")
+    first = {axis: rows.argmax() for axis, rows in masks.items() if rows.any()}
+    return [(axis, masks[axis]) for axis in sorted(first, key=first.get)]
+
+
+def _slot_of(i, j, cells, n):
+    """The slot of each ``(i, j)`` among ``cells``, or -1 for a pair that is none."""
+    lookup = np.full(n * n, -1)
+    lookup[cells[:, 0] * n + cells[:, 1]] = np.arange(len(cells))
+    inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    return np.where(inside, lookup[np.where(inside, i * n + j, 0)], -1)
 
 
 def read_dataset(src):
@@ -1102,70 +1159,54 @@ def read_dataset(src):
     if header.get("schema") != str(SCHEMA_VERSION):
         raise ValueError(f"unsupported dataset schema {header.get('schema')!r}")
     kind = header.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
     n = int(header["n_qubits"])
     k = int(header.get("k", 0))
     l = int(header["l"]) if "l" in header else None
-    rows = list(csv.reader(io.StringIO(line)))[0] if line.strip() else []
-    reader = csv.reader(src)
-    table = [rows] if rows else []
-    header_row, *data = table + list(reader)
-
-    def by_direction(column):
-        out = {}
-        try:
-            for row in data:
-                out.setdefault(row[column], []).append(row)
-        except IndexError:
-            raise ValueError("a row has too few columns") from None
-        return out.items()
+    if not line.strip():  # the column header may follow one blank line
+        src.readline()
+    columns = _columns(kind)
+    table = _parse_rows(src.read(), columns)
+    directions = _directions(table["direction"])
 
     if kind == "total_spin":
         blocks = {}
-        for axis, rows in by_direction(0):
-            what = f"direction {axis}"
-            rep, value = _int_columns(rows, (1, 2), what)
-            blocks[Direction(axis)] = _cells((k,), (rep,), value, what)
+        for axis, rows in directions:
+            rep, value = table["rep"][rows], table["outcome2m"][rows]
+            blocks[axis] = _cells((k,), (rep,), value, f"direction {axis.value}")
         return TotalSpinDataset(n, blocks, k=k)
 
-    if kind not in ("pairs", "split", "random_pairs", "random_split"):
-        raise ValueError(f"unknown dataset kind {kind!r}")
-    # columns: [slot,] direction, i, j, rep, then si2, sj2 or who, who_s2
-    random = kind.startswith("random_")
-    split = kind.endswith("split")
+    random, split = kind.startswith("random_"), kind.endswith("split")
     if random and l is None:
         raise ValueError(f"{kind} header needs l")
-    cells = l if random else n * n if split else n * (n - 1)
-    slot_of = {(int(i), int(j)): s
-               for s, (i, j) in enumerate(square_pairs(n) if split else ordered_pairs(n))}
-    c = int(random)  # the random kinds lead with the slot column
+    i, j = table["i"], table["j"]
+    if random:
+        slot = table["slot"]
+        cells = l
+    else:
+        pairs = square_pairs(n) if split else ordered_pairs(n)
+        slot = _slot_of(i, j, pairs, n)
+        cells = len(pairs)
     slots = {}
     first = {}
     second = {}
-    for axis, rows in by_direction(c):
-        what = f"direction {axis}"
-        axis = Direction(axis)
-        # the last column first, so that a short row fails as a ValueError
+    for axis, rows in directions:
+        what = f"direction {axis.value}"
+        index = (slot[rows], table["rep"][rows])
         if split:
-            rep, value = _int_columns(rows, (c + 3, c + 5), what)
-            who = np.array([_WHO.get(r[c + 4], -1) for r in rows])
+            who = np.select([table["who"][rows] == w for w in _WHO], [0, 1], -1)
+            first[axis], second[axis] = _cells(
+                (2, cells, k // 2), (who, *index), table["who_s2"][rows], what)
         else:
-            rep, a, b = _int_columns(rows, (c + 3, c + 4, c + 5), what)
-        if random:
-            slot, i, j = _int_columns(rows, (0, 2, 3), what)
-        else:
-            slot = np.array([slot_of.get((int(r[1]), int(r[2])), -1) for r in rows])
-        if split:
-            shape = (2, cells, k // 2)
-            first[axis], second[axis] = _cells(shape, (who, slot, rep), value, what)
-        else:
-            first[axis] = _cells((cells, k), (slot, rep), a, what)
-            second[axis] = _cells((cells, k), (slot, rep), b, what)
+            first[axis] = _cells((cells, k), index, table["si2"][rows], what)
+            second[axis] = _cells((cells, k), index, table["sj2"][rows], what)
         if random:
             # every slot has rows now, and all of them must name the same pair
-            pair = np.stack([i, j], axis=1)
+            pair = np.stack([i[rows], j[rows]], axis=1)
             slots[axis] = np.empty((l, 2), dtype=np.int64)
-            slots[axis][slot] = pair
-            if (slots[axis][slot] != pair).any():
+            slots[axis][index[0]] = pair
+            if (slots[axis][index[0]] != pair).any():
                 raise ValueError(f"{what}: the rows of a slot name different pairs")
     if random:
         return _KINDS[kind].cls(n, slots, first, second, l=l, k=k)

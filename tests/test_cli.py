@@ -478,6 +478,16 @@ def test_sweep_fig9_shape(tmp_path):
     assert len(lines) - 1 == 5 * 9  # five schemes, N in 4..20
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--threads", "-3"],
+                                   ["--trials", "0", "--threads", "-3"]])
+def test_sweep_rejects_bad_trials_and_threads(flags, tmp_path):
+    dest = tmp_path / "fig8.csv"
+    rc, out, err = run(["sweep", "--figure", "fig8", *flags, "--out", str(dest)])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["type"] == "ValueError"
+    assert not dest.exists()
+
+
 def test_sweep_requires_figure(tmp_path):
     rc, out, err = run(["sweep", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
