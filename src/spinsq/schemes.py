@@ -1185,9 +1185,11 @@ def read_dataset(src):
         slot = table["slot"]
         cells = l
     else:
-        pairs = square_pairs(n) if split else ordered_pairs(n)
-        slot = _slot_of(i, j, pairs, n)
-        cells = len(pairs)
+        cells = n * n if split else n * (n - 1)
+        # the row count bounds N before the pair tables are built
+        if cells > len(table):
+            raise ValueError("a cell is missing or written twice")
+        slot = _slot_of(i, j, square_pairs(n) if split else ordered_pairs(n), n)
     slots = {}
     first = {}
     second = {}

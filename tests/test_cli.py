@@ -290,6 +290,14 @@ def test_estimate_rejects_missing_and_repeated_cells(tmp_path):
     _assert_rejected(dest, "rp1", "missing or written twice")
 
 
+@pytest.mark.parametrize("pattern,scheme", [("ap", "ap1"), ("split", "ap2")])
+def test_estimate_rejects_header_with_huge_n(pattern, scheme, tmp_path):
+    # 10^8 qubits are refused before the pair tables of that N are built
+    dest = _edited_sample(tmp_path, pattern, ["--k", "2"], lambda rows: rows)
+    dest.write_text(dest.read_text().replace(" n_qubits=4", " n_qubits=100000000"))
+    _assert_rejected(dest, scheme, "missing or written twice")
+
+
 def test_estimate_rejects_negative_rep_or_slot(tmp_path):
     # numpy would wrap a negative index around to a cell at the far end
     dest = _edited_sample(tmp_path, "ts", ["--k", "3"], _replace("x,0,", "x,-3,0"))
