@@ -14,6 +14,7 @@ with ``--config``; flags take precedence.  The seed falls back to the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -150,7 +151,8 @@ def _apply_config_file(args) -> None:
                 )
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if not hasattr(args, key) or key in ("config", "func", "command"):
+            # vars, not hasattr: a Namespace also has methods and dunders
+            if key not in vars(args) or key in ("config", "func", "command"):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if getattr(args, key) is None:
                 setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
@@ -387,7 +389,9 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; parsing fills a new namespace each call."""
     parser = argparse.ArgumentParser(
         prog="spinsq",
         description="Collective-spin squeezing estimators: sampling, error "

@@ -1,10 +1,14 @@
 """Trial simulator: empirical estimator distributions and sweep tables.
 
-Each trial performs one full end-to-end measurement simulation: it collects
-fresh datasets with ``collect_datasets`` on a freshly seeded generator and
-records the parameter ``estimate_parameter`` composes from them.  The
-collectors in :mod:`spinsq.schemes` document the order in which they draw
-from the generator.
+Each trial performs one full end-to-end measurement simulation on a freshly
+seeded generator.  It draws outcome counts, not shots: every estimator is a
+function of a few integer sums per direction (outcome and product sums, and
+for a variance block the cross sums), and each dataset kind's counts sampler
+in :mod:`spinsq.schemes` draws them directly, with the law of the record the
+kind's collector would draw, at a cost that does not grow with the budget.
+The estimator cores and ``compose_parameter`` then give the parameter, as
+``estimate_parameter`` gives it from a record.  A written measurement record
+(``spinsq sample``) is still drawn shot by shot by the collectors.
 
 Reproducibility contract: trial ``t`` uses an independent generator seeded
 with ``child_seed(master_seed, t)`` (a splitmix64 step, documented below),
@@ -30,8 +34,7 @@ from .schemes import (
     Parameter,
     Scheme,
     _budget,
-    collect_datasets,
-    estimate_parameter,
+    _count_trial,
 )
 from .states import DepolarizedMixture, DickeState, ManyBodySinglet, StateModel
 from .variance import VarianceReport, parameter_value, var_parameter
@@ -202,10 +205,11 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
                anchor=None) -> TrialStats:
     """T independent end-to-end simulations of one estimator.
 
-    Deterministic for a given ``(master_seed, trials, config)`` no matter how
-    many threads share the work.  When ``bin_width`` is omitted the histogram
-    spans the observed values; when ``anchor`` is omitted the bins are
-    centred on the analytic parameter value.
+    Trial ``t`` draws its estimate from counts on ``child_generator(
+    master_seed, t)``.  Deterministic for a given ``(master_seed, trials,
+    config)`` no matter how many threads share the work.  When ``bin_width``
+    is omitted the histogram spans the observed values; when ``anchor`` is
+    omitted the bins are centred on the analytic parameter value.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
@@ -215,16 +219,14 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
         raise ValueError("need at least one bin")
     scheme = Scheme(scheme)
     parameter = _as_parameter(parameter)
-    budget = _budget(_SCHEMES[scheme].budget, k, l)
+    draw = _count_trial(state, scheme, parameter, k=k, l=l)
 
     values = np.empty(trials, dtype=np.float64)
 
     def run_range(bounds):
         lo, hi = bounds
         for t in range(lo, hi):
-            rng = child_generator(master_seed, t)
-            datasets = collect_datasets(state, scheme, parameter, rng, k=k, l=l)
-            values[t] = estimate_parameter(scheme, parameter, datasets).value
+            values[t] = draw(child_generator(master_seed, t))
 
     workers = threads if threads > 0 else min(os.cpu_count() or 1, 8)
     if workers <= 1 or trials < 4 * workers:
@@ -233,7 +235,14 @@ def run_trials(state, scheme, parameter, *, k=None, l=None, trials,
         cuts = np.linspace(0, trials, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_range, zip(cuts[:-1], cuts[1:])))
+    return _trial_stats(values, state, scheme, parameter, _budget(_SCHEMES[scheme].budget, k, l),
+                        master_seed, bins, bin_width, anchor)
 
+
+def _trial_stats(values, state, scheme, parameter, budget, master_seed, bins,
+                 bin_width, anchor) -> TrialStats:
+    """Summary and histogram of the trial ``values`` of one run."""
+    trials = len(values)
     mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
     if bin_width is None:

@@ -18,6 +18,9 @@ exact integers with a single final division.
 Each rule of a scheme is stated once, in the scheme table (``_KINDS`` per
 dataset kind, ``_SCHEMES`` per scheme), which collection, estimation, cost,
 the variance engine, the planner, the trial harness and the CLI all read.
+An estimator sees a direction only through a few integer sums: those of a
+record (``_Kind.sums``), or the same sums drawn without the record by the
+kind's counts sampler (``_Kind.counts``), which is how trials run.
 
 Draw-order contract of the collectors: directions are consumed in the order
 listed by the dataset (x, y, z unless a subset is requested); within a
@@ -38,6 +41,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -46,9 +50,13 @@ import numpy as np
 from .states import (
     DIRECTIONS,
     Direction,
+    _pair_classes,
     _pair_cut_columns,
     _single_cuts,
+    _split_classes,
     _total_spin_cuts,
+    _total_spin_probs,
+    outcome_grid,
 )
 
 SCHEMA_VERSION = 1
@@ -551,34 +559,40 @@ def _collect(name, state, rng, k, l, **extra):
 # --------------------------------------------------------------------------
 # estimator cores (exact integers, one final division)
 # --------------------------------------------------------------------------
+#
+# Every core takes ``(n, k, l, *sums)``: the budget and one direction's
+# integer sums, as ``_Kind.sums`` reduces them from a record and
+# ``_Kind.counts`` draws them.  Total-spin sums are ``(sum 2m, sum (2m)^2)``;
+# pair and split sums are the product sum, followed for a variance block by
+# the cross sums of :func:`_cross_sums`.
 
 
-def _ts_j2(s2_sum, k):
+def _ts_j2(n, k, l, s1_sum, s2_sum):
     return s2_sum / (4 * k)
 
 
-def _ts_dj2(s1_sum, s2_sum, k):
+def _ts_dj2(n, k, l, s1_sum, s2_sum):
     return (k * s2_sum - s1_sum * s1_sum) / (4 * k * (k - 1))
 
 
-def _ap_j2(prod, n, k):
+def _ap_j2(n, k, l, prod):
     return (n * k + prod) / (4 * k)
 
 
-def _ap_dj2(prod, sa, sb, sab, n, k):
+def _ap_dj2(n, k, l, prod, sa, sb, sab):
     d = (n - 1) * (n - 1)
     return ((n * k + prod) * (k - 1) * d - (sa * sb - sab)) / (4 * k * (k - 1) * d)
 
 
-def _split_jsq(prod, k):
+def _split_jsq(n, k, l, prod):
     return prod / (2 * k)
 
 
-def _rp_j2(prod, n, k, l):
+def _rp_j2(n, k, l, prod):
     return (n * k * l + n * (n - 1) * prod) / (4 * k * l)
 
 
-def _rp_dj2(prod, sa, sb, sab, n, k, l):
+def _rp_dj2(n, k, l, prod, sa, sb, sab):
     return (
         n * k * k * l * (l - 1)
         + n * (n - 1) * prod * k * (l - 1)
@@ -586,7 +600,7 @@ def _rp_dj2(prod, sa, sb, sab, n, k, l):
     ) / (4 * k * k * l * (l - 1))
 
 
-def _rsplit_jsq(prod, n, k, l):
+def _rsplit_jsq(n, k, l, prod):
     return n * n * prod / (2 * k * l)
 
 
@@ -602,24 +616,15 @@ def _axis_block(ds, blocks, axis, what):
 
 
 # --------------------------------------------------------------------------
-# estimator operations
+# the sums of a record
 # --------------------------------------------------------------------------
 
 
-def est_J2_ts(ds: TotalSpinDataset, axis) -> float:
-    """Sample mean of m^2 for one direction."""
+def _total_spin_sums(ds, axis, cross=False):
+    """``(sum 2m, sum (2m)^2)`` of one direction."""
     axis = _axis_block(ds, ("outcomes",), axis, "total-spin")
     arr = ds.outcomes[axis]
-    return _ts_j2(int((arr * arr).sum()), ds.k)
-
-
-def est_deltaJ2_ts(ds: TotalSpinDataset, axis) -> float:
-    """Unbiased sample variance of m for one direction."""
-    axis = _axis_block(ds, ("outcomes",), axis, "total-spin")
-    if ds.k < 2:
-        raise ValueError("sample variance needs K >= 2")
-    arr = ds.outcomes[axis]
-    return _ts_dj2(int(arr.sum()), int((arr * arr).sum()), ds.k)
+    return int(arr.sum()), int((arr * arr).sum())
 
 
 def _product_sum(ds, axis):
@@ -636,10 +641,38 @@ def _cross_sums(ds, axis, over):
     return _product_sum(ds, axis), int(a.sum()), int(b.sum()), int((a * b).sum())
 
 
+def _outcome_sums(ds, axis, cross=False, *, what, over=None):
+    """The product sum of one direction of a pair or split record, and with
+    ``cross`` its cross sums over array axis ``over``."""
+    axis = _axis_block(ds, ("first", "second"), axis, what)
+    if not cross:
+        return (_product_sum(ds, axis),)
+    if ds.first[axis].shape[1 - over] < 2:  # the cross sum runs over distinct A/B
+        raise ValueError(f"{what} variance estimate needs {'KL'[over]} >= 2")
+    return _cross_sums(ds, axis, over)
+
+
+# --------------------------------------------------------------------------
+# estimator operations
+# --------------------------------------------------------------------------
+
+
+def est_J2_ts(ds: TotalSpinDataset, axis) -> float:
+    """Sample mean of m^2 for one direction."""
+    return _ts_j2(ds.n_qubits, ds.k, None, *_total_spin_sums(ds, axis))
+
+
+def est_deltaJ2_ts(ds: TotalSpinDataset, axis) -> float:
+    """Unbiased sample variance of m for one direction."""
+    sums = _total_spin_sums(ds, axis)
+    if ds.k < 2:
+        raise ValueError("sample variance needs K >= 2")
+    return _ts_dj2(ds.n_qubits, ds.k, None, *sums)
+
+
 def est_J2_ap(ds: PairDataset, axis) -> float:
     """Second-moment estimate from all ordered-pair products."""
-    axis = _axis_block(ds, ("first", "second"), axis, "pair")
-    return _ap_j2(_product_sum(ds, axis), ds.n_qubits, ds.k)
+    return _ap_j2(ds.n_qubits, ds.k, None, *_outcome_sums(ds, axis, what="pair"))
 
 
 def est_deltaJ2_ap(ds: PairDataset, axis) -> float:
@@ -649,36 +682,104 @@ def est_deltaJ2_ap(ds: PairDataset, axis) -> float:
     sum_{k!=l} A_k B_l = (sum A)(sum B) - sum A_k B_k with A_k/B_k the
     per-repetition slot sums of first/second members.
     """
-    axis = _axis_block(ds, ("first", "second"), axis, "pair")
-    if ds.k < 2:
-        raise ValueError("pair variance estimate needs K >= 2")
-    return _ap_dj2(*_cross_sums(ds, axis, 0), ds.n_qubits, ds.k)
+    sums = _outcome_sums(ds, axis, True, what="pair", over=0)
+    return _ap_dj2(ds.n_qubits, ds.k, None, *sums)
 
 
 def est_Jsq_split(ds: SplitSingleDataset, axis) -> float:
     """Squared-first-moment estimate from split single-qubit products."""
-    axis = _axis_block(ds, ("first", "second"), axis, "split")
-    return _split_jsq(_product_sum(ds, axis), ds.k)
+    return _split_jsq(ds.n_qubits, ds.k, None, *_outcome_sums(ds, axis, what="split"))
 
 
 def est_J2_rp(ds: RandomPairDataset, axis) -> float:
     """Second-moment estimate from randomly sampled pair slots."""
-    axis = _axis_block(ds, ("first", "second"), axis, "random-pair")
-    return _rp_j2(_product_sum(ds, axis), ds.n_qubits, ds.k, ds.l)
+    sums = _outcome_sums(ds, axis, what="random-pair")
+    return _rp_j2(ds.n_qubits, ds.k, ds.l, *sums)
 
 
 def est_deltaJ2_rp(ds: RandomPairDataset, axis) -> float:
     """Variance estimate for random pairs; cross term factored per slot."""
-    axis = _axis_block(ds, ("first", "second"), axis, "random-pair")
-    if ds.l < 2:
-        raise ValueError("random-pair variance estimate needs L >= 2")
-    return _rp_dj2(*_cross_sums(ds, axis, 1), ds.n_qubits, ds.k, ds.l)
+    sums = _outcome_sums(ds, axis, True, what="random-pair", over=1)
+    return _rp_dj2(ds.n_qubits, ds.k, ds.l, *sums)
 
 
 def est_Jsq_rsplit(ds: RandomSplitDataset, axis) -> float:
     """Squared-first-moment estimate from random split cells."""
-    axis = _axis_block(ds, ("first", "second"), axis, "random-split")
-    return _rsplit_jsq(_product_sum(ds, axis), ds.n_qubits, ds.k, ds.l)
+    sums = _outcome_sums(ds, axis, what="random-split")
+    return _rsplit_jsq(ds.n_qubits, ds.k, ds.l, *sums)
+
+
+# --------------------------------------------------------------------------
+# counts samplers (a direction's sums, drawn without its record)
+# --------------------------------------------------------------------------
+#
+# Each sampler draws the sums ``_Kind.sums`` reduces from the record the
+# kind's collector would draw, with the same law: the shots of a slot class
+# (``states._pair_classes``, ``states._split_classes``) are independent and
+# identically distributed, so their category counts are multinomial and the
+# number of products -1 among them binomial.
+
+# rows: product, first member, second member of the categories
+# (+,+), (+,-), (-,+), (-,-)
+_SIGNS = np.array([[1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]])
+
+
+def _count_total_spin(state, axis, rng, cross, k, l):
+    counts = rng.multinomial(k, _total_spin_probs(state, axis))
+    m2 = outcome_grid(state.n_qubits)  # the encoded outcome 2m of each category
+    return int(counts @ m2), int(counts @ (m2 * m2))
+
+
+def _product_count(rng, classes, runs):
+    """The product sum of ``runs[c]`` runs of each class of ``classes``."""
+    return sum(r - 2 * rng.binomial(r, p) for r, p in zip(runs, classes.disagree))
+
+
+def _unit_sums(counts):
+    """The cross sums of :func:`_cross_sums` from per-unit category counts,
+    a unit being a repetition (all pairs) or a slot (random pairs)."""
+    prod, a, b = _SIGNS @ counts.T
+    return int(prod.sum()), int(a.sum()), int(b.sum()), int((a * b).sum())
+
+
+def _class_slots(rng, l, sizes):
+    """How many of L uniformly drawn slots fall in each class of ``sizes``."""
+    if len(sizes) == 1:
+        return [l]
+    return rng.multinomial(l, np.array(sizes) / sum(sizes)).tolist()
+
+
+def _count_pairs(state, axis, rng, cross, k, l):
+    classes = _pair_classes(state, axis)
+    if not cross:
+        return (_product_count(rng, classes, [s * k for s in classes.sizes]),)
+    # per repetition, the category counts of each class's slots
+    counts = rng.multinomial(classes.sizes, classes.probs, size=(k, len(classes.sizes)))
+    return _unit_sums(counts.sum(axis=1))
+
+
+def _count_split(state, axis, rng, cross, k, l):
+    classes = _split_classes(state, axis)
+    return (_product_count(rng, classes, [s * (k // 2) for s in classes.sizes]),)
+
+
+def _count_random_pairs(state, axis, rng, cross, k, l):
+    classes = _pair_classes(state, axis)
+    slots = _class_slots(rng, l, classes.sizes)
+    if not cross:
+        return (_product_count(rng, classes, [s * k for s in slots]),)
+    if k == 1:  # a one-run slot's A*B is its product: the class totals suffice
+        counts = sum(rng.multinomial(s, p) for s, p in zip(slots, classes.probs))
+        prod, a, b = (_SIGNS @ counts).tolist()
+        return prod, a, b, prod
+    # per slot, the category counts of its K runs
+    return _unit_sums(rng.multinomial(k, np.repeat(classes.probs, slots, axis=0)))
+
+
+def _count_random_split(state, axis, rng, cross, k, l):
+    classes = _split_classes(state, axis)
+    slots = _class_slots(rng, l, classes.sizes)
+    return (_product_count(rng, classes, [s * (k // 2) for s in slots]),)
 
 
 # --------------------------------------------------------------------------
@@ -789,11 +890,13 @@ def _core_rsplit_jsq(n, aggs, k, l):
 
 @dataclass(frozen=True)
 class _Kind:
-    """A dataset kind: the record one collector draws."""
+    """A dataset kind: the record one collector draws, and its sums."""
 
     alias: str  # short name for ``spinsq sample --pattern``
     cls: type
     collect: Callable  # called as ``collect(state, rng=rng, **budget)``
+    sums: Callable  # (record, axis, cross) -> one direction's integer sums
+    counts: Callable  # (state, axis, rng, cross, k, l) -> the same sums, drawn
     budget: tuple  # budget fields, in the order they are checked
     minimum: Mapping  # the collector's minimum per budget field
     k_even: bool  # K splits into two equal run series
@@ -801,16 +904,21 @@ class _Kind:
 
 
 _KINDS = {
-    "total_spin": _Kind("ts", TotalSpinDataset, collect_total_spin, ("k",),
-                        {"k": 2}, False, lambda n, k, l: k),
-    "pairs": _Kind("ap", PairDataset, collect_all_pairs, ("k",),
-                   {"k": 2}, False, lambda n, k, l: n * (n - 1) * k),
-    "split": _Kind("split", SplitSingleDataset, collect_split_single, ("k",),
-                   {"k": 2}, True, lambda n, k, l: n * n * k),
-    "random_pairs": _Kind("rp", RandomPairDataset, collect_random_pairs, ("l", "k"),
-                          {"l": 2, "k": 1}, False, lambda n, k, l: l * k),
-    "random_split": _Kind("rsplit", RandomSplitDataset, collect_random_split, ("l", "k"),
-                          {"l": 1, "k": 2}, True, lambda n, k, l: l * k),
+    "total_spin": _Kind("ts", TotalSpinDataset, collect_total_spin, _total_spin_sums,
+                        _count_total_spin, ("k",), {"k": 2}, False, lambda n, k, l: k),
+    "pairs": _Kind("ap", PairDataset, collect_all_pairs,
+                   partial(_outcome_sums, what="pair", over=0), _count_pairs,
+                   ("k",), {"k": 2}, False, lambda n, k, l: n * (n - 1) * k),
+    "split": _Kind("split", SplitSingleDataset, collect_split_single,
+                   partial(_outcome_sums, what="split"), _count_split,
+                   ("k",), {"k": 2}, True, lambda n, k, l: n * n * k),
+    "random_pairs": _Kind("rp", RandomPairDataset, collect_random_pairs,
+                          partial(_outcome_sums, what="random-pair", over=1),
+                          _count_random_pairs, ("l", "k"), {"l": 2, "k": 1}, False,
+                          lambda n, k, l: l * k),
+    "random_split": _Kind("rsplit", RandomSplitDataset, collect_random_split,
+                          partial(_outcome_sums, what="random-split"), _count_random_split,
+                          ("l", "k"), {"l": 1, "k": 2}, True, lambda n, k, l: l * k),
 }
 _KIND_NAMES = {kind.cls: name for name, kind in _KINDS.items()}
 
@@ -819,20 +927,23 @@ _KIND_NAMES = {kind.cls: name for name, kind in _KINDS.items()}
 class _Block:
     """How a scheme estimates one direction block ("j2" or "dj2").
 
-    The estimate is ``estimate(record, axis)``, less ``split_estimate(split,
-    axis)`` for a block built with split runs; its variance is ``core``, plus
-    ``split_core``, of ``(n, aggs, k, l)``.  The variance formula holds for
-    K >= ``k_min`` (even if ``k_even``) and L >= ``l_min``, and, when
-    ``k_only`` is set, for that K alone.
+    The estimate is ``value(n, k, l, *sums)`` of the record's sums of the
+    direction (with the cross sums when ``cross`` is set), less
+    ``split_value`` of the split runs' sums for a block built with split
+    runs; its variance is ``core``, plus ``split_core``, of
+    ``(n, aggs, k, l)``.  The variance formula holds for K >= ``k_min`` (even
+    if ``k_even``) and L >= ``l_min``, and, when ``k_only`` is set, for that
+    K alone.
     """
 
-    estimate: Callable
+    value: Callable
     core: Callable
+    cross: bool = False
     k_min: int = 1
     k_even: bool = False
     l_min: int = 0
     k_only: int | None = None
-    split_estimate: Callable | None = None
+    split_value: Callable | None = None
     split_core: Callable | None = None
 
 
@@ -861,31 +972,31 @@ class _SchemeRow:
         return {"l": b // self.plan_k, "k": self.plan_k}
 
 
-_AP_J2 = _Block(est_J2_ap, _core_ap_j2)
-_RP_J2 = _Block(est_J2_rp, _core_rp_j2, l_min=1)
+_AP_J2 = _Block(_ap_j2, _core_ap_j2)
+_RP_J2 = _Block(_rp_j2, _core_rp_j2, l_min=1)
 
 _SCHEMES = {
     Scheme.TS: _SchemeRow("total_spin", None, {
-        "j2": _Block(est_J2_ts, _core_ts_j2),
-        "dj2": _Block(est_deltaJ2_ts, _core_ts_dj2, k_min=2),
+        "j2": _Block(_ts_j2, _core_ts_j2),
+        "dj2": _Block(_ts_dj2, _core_ts_dj2, k_min=2),
     }, plan_min=2, plan_step=1, plan_k=None),
     Scheme.AP1: _SchemeRow("pairs", None, {
         "j2": _AP_J2,
-        "dj2": _Block(est_deltaJ2_ap, _core_ap_dj2, k_min=2),
+        "dj2": _Block(_ap_dj2, _core_ap_dj2, cross=True, k_min=2),
     }, plan_min=2, plan_step=1, plan_k=None),
     Scheme.AP2: _SchemeRow("pairs", "split", {
         "j2": _AP_J2,
-        "dj2": _Block(est_J2_ap, _core_ap_j2, k_min=2, k_even=True,
-                      split_estimate=est_Jsq_split, split_core=_core_split_jsq),
+        "dj2": _Block(_ap_j2, _core_ap_j2, k_min=2, k_even=True,
+                      split_value=_split_jsq, split_core=_core_split_jsq),
     }, plan_min=2, plan_step=2, plan_k=None),
     Scheme.RP1: _SchemeRow("random_pairs", None, {
         "j2": _RP_J2,
-        "dj2": _Block(est_deltaJ2_rp, _core_rp_dj2, l_min=2, k_only=1),
+        "dj2": _Block(_rp_dj2, _core_rp_dj2, cross=True, l_min=2, k_only=1),
     }, plan_min=2, plan_step=1, plan_k=1),
     Scheme.RP2: _SchemeRow("random_pairs", "random_split", {
         "j2": _RP_J2,
-        "dj2": _Block(est_J2_rp, _core_rp_j2, k_min=2, k_even=True, l_min=1,
-                      split_estimate=est_Jsq_rsplit, split_core=_core_rsplit_jsq),
+        "dj2": _Block(_rp_j2, _core_rp_j2, k_min=2, k_even=True, l_min=1,
+                      split_value=_rsplit_jsq, split_core=_core_rsplit_jsq),
     }, plan_min=4, plan_step=2, plan_k=2),
 }
 
@@ -982,18 +1093,51 @@ def estimate_parameter(scheme, parameter: Parameter, datasets) -> EstimateResult
                     f"{row.record!r} and {row.split!r} datasets disagree on {name.upper()}"
                 )
 
-    j2 = {}
-    dj2 = {}
-    for axis, block, _ in blocks:
-        rule = row.blocks[block]
-        value = rule.estimate(record, axis)
-        if rule.split_estimate is not None:
-            value = value - rule.split_estimate(split, axis)
-        (j2 if block == "j2" else dj2)[axis] = value
-
-    value = compose_parameter(parameter, n, j2, dj2)
+    records = {row.record: record, row.split: split}
+    value = _compose(row, parameter, n, budget.get("k"), budget.get("l"),
+                     lambda name, axis, cross: _KINDS[name].sums(records[name], axis, cross))
     cost = sample_cost(scheme, parameter, n, **budget)
     return EstimateResult(scheme, parameter, float(value), cost, budget)
+
+
+def _compose(row, parameter, n, k, l, sums):
+    """The parameter estimate of a scheme ``row`` from per-direction sums.
+
+    ``sums(kind, axis, cross)`` gives the integer sums of one direction of
+    the dataset kind, reduced from a record or drawn; each direction's
+    record sums come before its split sums, in the order of the parameter's
+    blocks.
+    """
+    j2 = {}
+    dj2 = {}
+    for axis, block, _ in _parameter_blocks(parameter):
+        rule = row.blocks[block]
+        value = rule.value(n, k, l, *sums(row.record, axis, rule.cross))
+        if rule.split_value is not None:
+            value = value - rule.split_value(n, k, l, *sums(row.split, axis, False))
+        (j2 if block == "j2" else dj2)[axis] = value
+    return compose_parameter(parameter, n, j2, dj2)
+
+
+def _count_trial(state, scheme, parameter: Parameter, *, k=None, l=None) -> Callable:
+    """``draw(rng)``: one end-to-end estimate drawn from counts, not shots.
+
+    Each direction's sums are drawn by the dataset kind's counts sampler
+    with the law of the record ``collect_datasets`` would collect, so
+    ``draw(rng)`` has the distribution of ``estimate_parameter(...,
+    collect_datasets(..., rng, k=k, l=l)).value``.  The budget is checked
+    here, as the collectors check it.
+    """
+    row = _SCHEMES[Scheme(scheme)]
+    _check_collect(row.record, k=k, l=l)
+    if row.split is not None and split_directions(parameter):
+        _check_collect(row.split, k=k, l=l)
+    n = state.n_qubits
+
+    def draw(rng) -> float:
+        return _compose(row, parameter, n, k, l,
+                        lambda name, axis, cross: _KINDS[name].counts(state, axis, rng, cross, k, l))
+    return draw
 
 
 def sample_cost(scheme, parameter: Parameter, n: int, *, k=None, l=None) -> int:
@@ -1140,6 +1284,18 @@ def _slot_of(i, j, cells, n):
     return np.where(inside, lookup[np.where(inside, i * n + j, 0)], -1)
 
 
+def _header_int(header, key):
+    """The integer header field ``key``."""
+    if key not in header:
+        raise ValueError(f"dataset header has no {key} field")
+    try:
+        return int(header[key])
+    except ValueError:
+        raise ValueError(
+            f"dataset header field {key} must be an integer, got {header[key]!r}"
+        ) from None
+
+
 def read_dataset(src):
     """Read a dataset written by :func:`write_dataset`."""
     if isinstance(src, (str, bytes)) or hasattr(src, "__fspath__"):
@@ -1161,9 +1317,9 @@ def read_dataset(src):
     kind = header.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    n = int(header["n_qubits"])
-    k = int(header.get("k", 0))
-    l = int(header["l"]) if "l" in header else None
+    n = _header_int(header, "n_qubits")
+    k = _header_int(header, "k")
+    l = _header_int(header, "l") if "l" in header else None
     if not line.strip():  # the column header may follow one blank line
         src.readline()
     columns = _columns(kind)

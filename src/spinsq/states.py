@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -583,6 +584,59 @@ def _pair_cut_columns(state: StateModel, axis: Direction) -> tuple:
 def _single_cuts(state: StateModel, axis: Direction) -> np.ndarray:
     """The cut points of :func:`single_plus_cuts`."""
     return _read_only(single_plus_cuts(state, axis))
+
+
+# Category probabilities of the counts samplers, taken from the same cut
+# tables: a uniform u in [0, 1) falls in category g when g cuts are <= u, so
+# category g has the width of the g-th interval between the clipped cuts.
+
+
+def _interval_widths(cuts: np.ndarray) -> np.ndarray:
+    """The category probabilities of ascending ``cuts`` (along the last axis)."""
+    return np.diff(np.clip(cuts, 0.0, 1.0), prepend=0.0, append=1.0)
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _total_spin_probs(state: StateModel, axis: Direction) -> np.ndarray:
+    """The probability of each encoded outcome of :func:`outcome_grid`."""
+    return _read_only(_interval_widths(_total_spin_cuts(state, axis)))
+
+
+class _Classes(NamedTuple):
+    """Classes of slots whose runs follow one joint-outcome law."""
+
+    probs: np.ndarray  # per class: P of (+,+), (+,-), (-,+), (-,-)
+    sizes: tuple  # per class: its number of slots
+    disagree: tuple  # per class: P(first * second = -1)
+
+
+def _classes(probs, sizes) -> _Classes:
+    return _Classes(_read_only(probs), tuple(sizes.tolist()),
+                    tuple((probs[:, 1] + probs[:, 2]).tolist()))
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _pair_classes(state: StateModel, axis: Direction) -> _Classes:
+    """The classes of ordered distinct pair slots: slots with identical rows
+    of cut points in :func:`_pair_cut_columns`."""
+    rows = np.stack(_pair_cut_columns(state, axis), axis=1)
+    rows, sizes = np.unique(rows, axis=0, return_counts=True)
+    return _classes(_interval_widths(rows), sizes)
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _split_classes(state: StateModel, axis: Direction) -> _Classes:
+    """The classes of cells ``(i, j)`` of the full index square: cells with
+    identical cut points of qubits i and j in :func:`_single_cuts`.  The
+    outcome pair of a cell is a run of qubit i and an independent run of
+    qubit j."""
+    q = np.clip(_single_cuts(state, axis), 0.0, 1.0)  # P(+1) of each qubit
+    n = len(q)
+    rows, sizes = np.unique(np.stack([np.repeat(q, n), np.tile(q, n)], axis=1),
+                            axis=0, return_counts=True)
+    qi, qj = rows[:, :1], rows[:, 1:]
+    return _classes(np.hstack([qi * qj, qi * (1.0 - qj), (1.0 - qi) * qj,
+                               (1.0 - qi) * (1.0 - qj)]), sizes)
 
 
 def sample_total_spin(state: StateModel, axis: Direction, rng: np.random.Generator,

@@ -3,21 +3,33 @@
 * ``slot_*``: the measurement record of each collector, built with one
   ``sample_total_spin``/``sample_pair``/``sample_single`` call per slot in
   the draw order documented in :mod:`spinsq.schemes`.
+* ``shot_trials``: ``run_trials`` on the shot-level path, each trial
+  estimating from the record ``collect_datasets`` draws.
+* ``exact_sums_pmf``: the exact law of one direction's integer sums over
+  all shot records, the statistics the counts samplers draw.
 * ``_est_deltaJ2_*_naive``: the variance estimators as direct multiple sums
   in exact rational arithmetic.
 """
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
+from spinsq.montecarlo import _trial_stats, child_generator
 from spinsq.schemes import (
+    _SCHEMES,
     PairDataset,
+    Parameter,
     RandomPairDataset,
     RandomSplitDataset,
     Scheme,
     SplitSingleDataset,
     TotalSpinDataset,
+    _budget,
+    collect_datasets,
+    estimate_parameter,
     ordered_pairs,
     split_directions,
     square_pairs,
@@ -28,6 +40,7 @@ from spinsq.states import (
     sample_pair,
     sample_single,
     sample_total_spin,
+    total_spin_distribution,
 )
 
 # ---------------------------------------------------------------- records
@@ -108,6 +121,103 @@ def slot_datasets(state, scheme, parameter, rng, *, k=None, l=None):
     if scheme is Scheme.RP2 and dirs:
         out["random_split"] = slot_random_split(state, l, k, rng, dirs)
     return out
+
+
+# ---------------------------------------------------------------- trials
+
+
+def shot_trials(state, scheme, parameter, *, k=None, l=None, trials, master_seed=0,
+                bins=99, bin_width=None, anchor=None):
+    """``run_trials`` drawing shots: trial ``t`` estimates from the record
+    ``collect_datasets`` draws from ``child_generator(master_seed, t)``."""
+    scheme = Scheme(scheme)
+    if isinstance(parameter, str):
+        parameter = Parameter.parse(parameter)
+    values = np.array([
+        estimate_parameter(scheme, parameter, collect_datasets(
+            state, scheme, parameter, child_generator(master_seed, t), k=k, l=l)).value
+        for t in range(trials)
+    ])
+    return _trial_stats(values, state, scheme, parameter, _budget(_SCHEMES[scheme].budget, k, l),
+                        master_seed, bins, bin_width, anchor)
+
+
+# ---------------------------------------------------------------- exact laws
+# A law is a dict from an integer vector (a tuple) to its probability.  The
+# shots of a record are independent, so the law of a sum of shots is the
+# convolution of their laws; each shot's law is read from the state's
+# correlators, slot by slot, as the per-slot samplers draw it.
+
+
+def _add(law_a, law_b):
+    """The law of the sum of two independent vectors."""
+    out = defaultdict(float)
+    for x, p in law_a.items():
+        for y, q in law_b.items():
+            out[tuple(a + b for a, b in zip(x, y))] += p * q
+    return dict(out)
+
+
+def _total(laws):
+    return reduce(_add, laws)
+
+
+def _mixture(laws):
+    """The law of one of ``laws``, picked uniformly."""
+    out = defaultdict(float)
+    for law in laws:
+        for x, p in law.items():
+            out[x] += p / len(laws)
+    return dict(out)
+
+
+def _product_only(law):
+    """``(prod, A, B)`` -> ``(prod,)``."""
+    out = defaultdict(float)
+    for x, p in law.items():
+        out[x[:1]] += p
+    return dict(out)
+
+
+def _with_cross(law):
+    """``(prod, A, B)`` of a unit -> ``(prod, A, B, A*B)``."""
+    return {(prod, a, b, a * b): p for (prod, a, b), p in law.items()}
+
+
+def _pair_shot(state, axis, i, j, split):
+    """The law of ``(first*second, first, second)`` of one run of cell (i, j):
+    a joint pair run, or with ``split`` two independent single runs."""
+    a = np.asarray(state._singles(axis), dtype=float)
+    # independent members (split runs) have the correlation <s_i><s_j>
+    c = a[i] * a[j] if split else float(np.asarray(state._pairs(axis), dtype=float)[i, j])
+    law = {}
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            p = (1 + s1 * a[i] + s2 * a[j] + s1 * s2 * c) / 4
+            if p > 0:
+                law[(s1 * s2, s1, s2)] = p
+    return law
+
+
+def exact_sums_pmf(kind, state, axis, cross, k, l=None):
+    """The exact law of the sums ``_KINDS[kind].counts`` draws for one direction."""
+    n = state.n_qubits
+    if kind == "total_spin":
+        outcomes, probs = total_spin_distribution(state, axis)
+        shot = {(int(m), int(m) * int(m)): float(p) for m, p in zip(outcomes, probs) if p > 0}
+        return _total([shot] * k)
+    split = kind.endswith("split")
+    cells = square_pairs(n) if split else ordered_pairs(n)
+    runs = k // 2 if split else k
+    laws = [_pair_shot(state, axis, int(i), int(j), split) for i, j in cells]
+    if not kind.startswith("random_"):
+        if cross:  # the unit is a repetition: one run of every slot
+            return _total([_with_cross(_total(laws))] * runs)
+        return _total([_product_only(_total([law] * runs)) for law in laws])
+    # the unit is a slot: a uniformly drawn cell and its runs
+    slot = _mixture([_total([law] * runs) for law in laws])
+    slot = _with_cross(slot) if cross else _product_only(slot)
+    return _total([slot] * l)
 
 
 # ---------------------------------------------------------------- estimators

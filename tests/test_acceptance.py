@@ -6,7 +6,9 @@ same condition, so the pytest outcome always matches the printed line.
 
 Frozen numbers were fixed by exact rational arithmetic before the engine
 was written; the module tests hold their derivations.  The Monte-Carlo
-checks (4 and 5) share one cache of 10^4-trial runs.  Checks 9 and 10
+checks run 10^4 trials per configuration: check 4 on the shot-level
+reference path (``oracles.shot_trials``), check 5 through ``run_trials``,
+which draws counts.  Checks 9 and 10
 state separation/scaling targets that the exact formulas miss on part of
 the stated range; rather than being weakened silently they fail with the
 measured values in the assertion message.
@@ -46,7 +48,7 @@ from spinsq.variance import (
     var_parameter,
 )
 
-from oracles import _est_deltaJ2_ap_naive, _est_deltaJ2_rp_naive
+from oracles import _est_deltaJ2_ap_naive, _est_deltaJ2_rp_naive, shot_trials
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
 
@@ -159,13 +161,13 @@ _MC_STATES = {"dicke": D105, "singlet": SINGLET8}
 _MC_CACHE = {}
 
 
-def _mc_stats(scheme, kind, which):
+def _mc_stats(scheme, kind, which, run=run_trials):
     """10^4 end-to-end trials at the reference budget, cached across tests."""
-    key = (scheme, kind, which)
+    key = (scheme, kind, which, run)
     if key not in _MC_CACHE:
         index = (_SCHEME_ORDER.index(scheme) * 3 + "bcd".index(kind)) * 2
         index += ("dicke", "singlet").index(which)
-        _MC_CACHE[key] = run_trials(
+        _MC_CACHE[key] = run(
             _MC_STATES[which],
             scheme,
             Parameter(kind),
@@ -180,14 +182,14 @@ def test_04_monte_carlo_variance_match():
     start = time.perf_counter()
     records = {}
     for scheme in _SCHEME_ORDER:
-        stats = _mc_stats(scheme, "c", "dicke")
+        stats = _mc_stats(scheme, "c", "dicke", shot_trials)
         report = var_parameter(
             D105, scheme, Parameter("c"), **_REFERENCE_BUDGETS[scheme]
         )
         records[scheme] = compare_analytic(stats, report, tolerance=0.10)
     # frozen two-sigma spreads of the collective and single-random schemes
     spread = {
-        name: 2.0 * math.sqrt(_mc_stats(name, "c", "dicke").empirical_variance)
+        name: 2.0 * math.sqrt(_mc_stats(name, "c", "dicke", shot_trials).empirical_variance)
         for name in ("ts", "rp1")
     }
     spread_ok = (

@@ -7,13 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinsq
-from spinsq.cli import main, _parse_state
+from spinsq.cli import _apply_config_file, _build_parser, _parse_state, main
 from spinsq.hypothesis import required_budget
 from spinsq.montecarlo import child_generator
 from spinsq.schemes import (
@@ -61,6 +63,76 @@ def test_state_specs():
 def test_state_spec_rejects(spec):
     with pytest.raises(ValueError):
         _parse_state(spec)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+_SPEC_TOKENS = st.sampled_from([
+    "dicke", "singlet", "Dicke", "ghz", "", "0", "1", "2", "3", "4", "-2", "10", "99999999999",
+    "0.5", "1.0", "-0.0", "1e400", "nan", "inf", " 4", "4_0", "0x4", "\u0664", "9" * 5000,
+])
+
+
+@PROPERTY
+@given(st.one_of(st.text(), st.lists(st.one_of(_SPEC_TOKENS, st.text(max_size=3)),
+                                     max_size=6).map(":".join)))
+def test_state_spec_parses_or_raises_value_error(spec):
+    try:
+        _parse_state(spec)
+    except ValueError:
+        pass
+
+
+_CONFIG_KEYS = st.sampled_from([
+    "state", "scheme", "param", "k", "l", "trials", "seed", "threads", "bins", "bin-width",
+    "gamma", "variance", "t_rule", "out", "figure", "format", "pattern", "n", "config",
+    "func", "command", "files", "__class__", "__dict__", "_get_args", "bogus", "",
+])
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=12),
+    st.tuples(_CONFIG_KEYS, st.sampled_from(["", " ", "=", "#"]), st.text(max_size=8))
+    .map(lambda t: f"{t[0]}{t[1]}={t[2]}"),
+).map(lambda line: line.replace("\n", " ").replace("\r", " "))
+_COMMANDS = [["sample", "--pattern", "ts"], ["estimate", "x.csv"], ["variance"],
+             ["samplesize"], ["mc"], ["sweep"]]
+
+
+@PROPERTY
+@given(st.sampled_from(_COMMANDS), st.lists(_CONFIG_LINES, max_size=6))
+def test_config_file_applies_or_raises_value_error(argv, lines):
+    # any key=value file is applied or refused with a ValueError, and is
+    # applied only when every line names an option of the subcommand
+    args = _build_parser().parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        args.config = os.path.join(tmp, "run.cfg")
+        with open(args.config, "wb") as fh:  # lone surrogates make invalid UTF-8
+            fh.write("\n".join(lines).encode("utf-8", "surrogatepass"))
+        try:
+            _apply_config_file(args)
+        except ValueError:
+            return
+    keys = [line.strip().partition("=")[0].strip().replace("-", "_") for line in lines
+            if line.strip() and not line.strip().startswith("#")]
+    assert all(key in vars(args) and key not in ("config", "func", "command") for key in keys)
+
+
+def test_main_calls_share_no_parsed_state(tmp_path):
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state=dicke:6:3\nscheme=ts\nparam=c\nk=50\n")
+    rc, out, _ = run(["variance", "--config", str(cfg), "--l", "3"])
+    assert rc == 0 and json.loads(out)["budget"] == {"k": 50}
+    # neither the flags nor the config values of that call reach the next
+    rc, out, err = run(["variance", "--state", "dicke:6:3", "--scheme", "ts", "--param", "c"])
+    assert rc == 2 and "--k" in json.loads(err)["error"]
+    rc, out, _ = run(["samplesize", "--scheme", "ts", "--param", "c", "--n", "4", "--gamma", "0.9"])
+    assert rc == 0 and json.loads(out)["gamma"] == 0.9
+    rc, out, _ = run(["samplesize", "--scheme", "ts", "--param", "c", "--n", "4"])
+    assert rc == 0 and json.loads(out)["gamma"] == 0.95
+    first = _build_parser().parse_args(["mc", "--k", "5", "--bins", "3"])
+    second = _build_parser().parse_args(["samplesize", "--n", "4"])
+    assert (first.k, first.bins) == (5, 3)
+    assert not {"k", "bins", "trials"} & set(vars(second))
 
 
 _ONE_QUBIT = {
@@ -296,6 +368,19 @@ def test_estimate_rejects_header_with_huge_n(pattern, scheme, tmp_path):
     dest = _edited_sample(tmp_path, pattern, ["--k", "2"], lambda rows: rows)
     dest.write_text(dest.read_text().replace(" n_qubits=4", " n_qubits=100000000"))
     _assert_rejected(dest, scheme, "missing or written twice")
+
+
+@pytest.mark.parametrize("pattern,budget,old,new,match", [
+    ("ts", ["--k", "3"], " n_qubits=4", "", "header has no n_qubits field"),
+    ("ts", ["--k", "3"], " k=3", "", "header has no k field"),
+    ("ts", ["--k", "3"], " n_qubits=4", " n_qubits=four", "n_qubits must be an integer"),
+    ("ap", ["--k", "2"], " k=2", " k=2.0", "k must be an integer"),
+    ("rp", ["--l", "2", "--k", "1"], " l=2", " l=", "l must be an integer"),
+], ids=["no-n_qubits", "no-k", "text-n_qubits", "float-k", "empty-l"])
+def test_estimate_names_the_bad_header_field(tmp_path, pattern, budget, old, new, match):
+    dest = _edited_sample(tmp_path, pattern, budget, lambda rows: rows)
+    dest.write_text(dest.read_text().replace(old, new, 1))
+    _assert_rejected(dest, {"ts": "ts", "ap": "ap1", "rp": "rp1"}[pattern], match)
 
 
 def test_estimate_rejects_negative_rep_or_slot(tmp_path):

@@ -27,10 +27,11 @@ from spinsq.schemes import Parameter, estimate_parameter
 from spinsq.states import DepolarizedMixture, DickeState, ManyBodySinglet
 from spinsq.variance import var_parameter
 
-from oracles import slot_datasets
+from oracles import shot_trials, slot_datasets
 
 DICKE = DickeState(10, 5)
 FROZEN_TRIALS = Path(__file__).with_name("frozen_trials.json")
+FROZEN_COUNTS = Path(__file__).with_name("frozen_counts.json")
 
 
 # ---------------------------------------------------------------- seeding
@@ -52,7 +53,7 @@ def test_child_generator_reproducible():
     assert np.array_equal(a, b)
 
 
-# ------------------------------------------------- trial == slot-by-slot record
+# ---------------------------------- shot-level trial == slot-by-slot record
 
 
 @pytest.mark.parametrize("scheme,kw", [
@@ -64,11 +65,11 @@ def test_child_generator_reproducible():
 ])
 @pytest.mark.parametrize("label", ["a", "b", "c", "d", "c:kzlxmy"])
 def test_trial_matches_dataset_path(scheme, kw, label):
-    # trial t estimates from the record one sample_* call per slot draws
-    # from child_generator(seed, t), in the documented order
+    # a shot-level trial t estimates from the record one sample_* call per
+    # slot draws from child_generator(seed, t), in the documented order
     param = Parameter.parse(label)
     for state in (DickeState(5, 2), DepolarizedMixture(DickeState(4, 2), 0.6)):
-        stats = run_trials(state, scheme, param, trials=4, master_seed=42, threads=1, **kw)
+        stats = shot_trials(state, scheme, param, trials=4, master_seed=42, **kw)
         values = np.array([
             estimate_parameter(
                 scheme, param, slot_datasets(state, scheme, param, child_generator(42, t), **kw)
@@ -93,22 +94,37 @@ def test_plan_validates_budgets():
     assert stats.config["budget"] == {"k": 3}
 
 
-def _frozen_cases():
-    with open(FROZEN_TRIALS, encoding="utf-8") as fh:
+def _frozen_cases(path):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)["cases"]
 
 
-@pytest.mark.parametrize("case", _frozen_cases(), ids=lambda c: c["id"])
+_FROZEN_STATES = {
+    "dicke:6:3:0.8": DepolarizedMixture(DickeState(6, 3), 0.8),
+    "singlet:4": ManyBodySinglet(4),
+    "dicke:10:5": DICKE,
+}
+
+
+@pytest.mark.parametrize("case", _frozen_cases(FROZEN_TRIALS), ids=lambda c: c["id"])
 def test_run_trials_frozen_outputs(case):
-    # recorded with an independent implementation of the trial path; any
-    # difference means the random stream or an estimator changed
-    states = {
-        "dicke:6:3:0.8": DepolarizedMixture(DickeState(6, 3), 0.8),
-        "singlet:4": ManyBodySinglet(4),
-        "dicke:10:5": DICKE,
-    }
-    stats = run_trials(states[case["state"]], case["scheme"], case["parameter"],
+    # the shot-level path, recorded with an independent implementation of
+    # it; any difference means the random stream or an estimator changed
+    stats = shot_trials(_FROZEN_STATES[case["state"]], case["scheme"], case["parameter"],
+                        master_seed=case["seed"], **case["run"])
+    _assert_frozen(stats, case)
+
+
+@pytest.mark.parametrize("case", _frozen_cases(FROZEN_COUNTS), ids=lambda c: c["id"])
+def test_run_trials_frozen_counts(case):
+    # run_trials draws counts: any difference means a counts sampler's
+    # draws, an estimator or the trial seeding changed
+    stats = run_trials(_FROZEN_STATES[case["state"]], case["scheme"], case["parameter"],
                        master_seed=case["seed"], threads=1, **case["run"])
+    _assert_frozen(stats, case)
+
+
+def _assert_frozen(stats, case):
     assert stats.mean == float.fromhex(case["mean"])
     assert stats.empirical_variance == float.fromhex(case["empirical_variance"])
     hist = stats.histogram

@@ -1,9 +1,11 @@
 """Datasets, collectors, estimators and their exact-arithmetic twins."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spinsq.schemes import (
     EstimateResult,
@@ -37,14 +39,22 @@ from spinsq.schemes import (
     split_directions,
     square_pairs,
     write_dataset,
+    _KINDS,
 )
 from spinsq.montecarlo import run_trials
-from spinsq.states import DickeState, DepolarizedMixture, Direction, ManyBodySinglet
+from spinsq.states import (
+    DenseState,
+    DepolarizedMixture,
+    DickeState,
+    Direction,
+    ManyBodySinglet,
+)
 from spinsq.variance import var_parameter
 
 from oracles import (
     _est_deltaJ2_ap_naive,
     _est_deltaJ2_rp_naive,
+    exact_sums_pmf,
     slot_all_pairs,
     slot_random_pairs,
     slot_random_split,
@@ -400,6 +410,97 @@ def test_collect_shapes():
     rs = collect_random_split(DickeState(3, 1), 5, 2, rng)
     assert rs.slots[X].shape == (5, 2)
     assert rs.first[X].shape == (5, 1)
+
+
+# ---------------------------------------------------------------- counts samplers
+
+
+def _dense3():
+    amps = np.random.default_rng(8).normal(size=(2, 8))
+    amps = amps[0] + 1j * amps[1]
+    return DenseState(amps / np.linalg.norm(amps))
+
+
+def _product3():
+    qubits = [np.array([np.cos(t), np.sin(t)]) for t in (0.0, np.pi / 8, 3 * np.pi / 8)]
+    return DenseState(np.kron(np.kron(qubits[0], qubits[1]), qubits[2]))
+
+
+_LAW_STATES = {
+    "mix3": DepolarizedMixture(DickeState(3, 1), 0.7),
+    "singlet4": ManyBodySinglet(4),  # two slot classes: bonded pairs and the rest
+    "dense3": _dense3(),  # a class per slot
+    "product3": _product3(),  # <sigma_z> = 1, 0.71, -0.71: a class per split cell
+}
+
+
+def _chi_square_p(draws, law):
+    """p-value of the draw counts against the exact law; cells expected
+    fewer than 5 times are pooled (into the smallest cell if still short)."""
+    size = sum(draws.values())
+    expected = {x: p * size for x, p in law.items()}
+    cells = sorted((x for x in expected if expected[x] >= 5), key=expected.get)
+    observed = [draws.get(x, 0) for x in cells]
+    want = [expected[x] for x in cells]
+    rest_observed, rest_want = size - sum(observed), size - sum(want)
+    if rest_want >= 5:
+        observed.append(rest_observed)
+        want.append(rest_want)
+    else:
+        observed[0] += rest_observed
+        want[0] += rest_want
+    return stats.chisquare(observed, want).pvalue
+
+
+@pytest.mark.parametrize("kind,state,axis,cross,k,l", [
+    ("total_spin", "mix3", X, False, 3, None),
+    ("total_spin", "dense3", Z, False, 2, None),
+    ("pairs", "mix3", Z, True, 3, None),
+    ("pairs", "singlet4", Z, True, 2, None),
+    ("pairs", "singlet4", X, False, 2, None),
+    ("pairs", "dense3", Y, True, 2, None),
+    ("split", "mix3", Z, False, 2, None),
+    ("split", "dense3", X, False, 4, None),
+    ("split", "product3", Z, False, 4, None),
+    ("random_pairs", "singlet4", Z, True, 1, 3),
+    ("random_pairs", "singlet4", Z, True, 3, 2),
+    ("random_pairs", "mix3", Z, True, 3, 2),
+    ("random_pairs", "singlet4", Y, False, 2, 3),
+    ("random_pairs", "dense3", X, True, 2, 2),
+    ("random_split", "mix3", Z, False, 2, 3),
+    ("random_split", "dense3", X, False, 4, 2),
+    ("random_split", "product3", Z, False, 4, 3),
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_counts_sampler_follows_the_shot_law(kind, state, axis, cross, k, l):
+    # the sums a counts sampler draws have the exact law of the sums of the
+    # records the collector draws, enumerated over all shot records
+    state = _LAW_STATES[state]
+    law = exact_sums_pmf(kind, state, axis, cross, k, l)
+    rng = np.random.default_rng(2024)
+    draws = Counter(_KINDS[kind].counts(state, axis, rng, cross, k, l) for _ in range(20_000))
+    assert set(draws) <= set(law)
+    assert _chi_square_p(draws, law) > 1e-4
+
+
+@pytest.mark.parametrize("kind,budget,cross", [
+    ("total_spin", dict(k=3), False),
+    ("pairs", dict(k=2), False),
+    ("pairs", dict(k=2), True),
+    ("split", dict(k=2), False),
+    ("random_pairs", dict(k=3, l=4), False),
+    ("random_pairs", dict(k=3, l=4), True),
+    ("random_split", dict(k=2, l=3), False),
+])
+def test_counts_sums_are_the_record_sums(kind, budget, cross):
+    # the sums the estimators take from a record have the shape and type
+    # the counts sampler draws, so that one core serves both
+    state = DepolarizedMixture(DickeState(4, 2), 0.6)
+    record = _KINDS[kind].collect(state, rng=np.random.default_rng(1), **budget)
+    summed = _KINDS[kind].sums(record, Z, cross)
+    drawn = _KINDS[kind].counts(state, Z, np.random.default_rng(1), cross,
+                                budget["k"], budget.get("l"))
+    assert len(summed) == len(drawn)
+    assert all(type(v) is int for v in (*summed, *drawn))
 
 
 # ---------------------------------------------------------------- sample cost

@@ -239,7 +239,7 @@ def _enum_ts(state, axis, k, stat):
             v = int(outcomes[c])
             s1 += v
             s2 += v * v
-        est = _ts_j2(s2, k) if stat == "j2" else _ts_dj2(s1, s2, k)
+        est = (_ts_j2 if stat == "j2" else _ts_dj2)(state.n_qubits, k, None, s1, s2)
         acc.append((est, p))
     return _weighted_variance(acc)
 
