@@ -3,7 +3,7 @@
 Five measurement schemes (collective total-spin readout, exhaustive and
 randomized pair correlations, with or without split single-qubit runs)
 estimate the four squeezing parameters of an N-qubit state.  The package
-provides exact benchmark states and samplers, unbiased estimators over the
+provides exact benchmark states, collectors and unbiased estimators over the
 collected datasets, the analytic variances of every estimator, a
 concentration-bound hypothesis test with a sample-size planner, and a
 seeded Monte-Carlo harness that validates the analytics.
@@ -20,9 +20,6 @@ from .states import (
     moment,
     moment_table,
     pair_correlation,
-    sample_pair,
-    sample_single,
-    sample_total_spin,
     single_expectation,
     total_spin_distribution,
 )
@@ -43,14 +40,6 @@ from .schemes import (
     collect_split_single,
     collect_total_spin,
     compose_parameter,
-    est_J2_ap,
-    est_J2_rp,
-    est_J2_ts,
-    est_Jsq_rsplit,
-    est_Jsq_split,
-    est_deltaJ2_ap,
-    est_deltaJ2_rp,
-    est_deltaJ2_ts,
     estimate_parameter,
     ordered_pairs,
     read_dataset,
@@ -63,16 +52,7 @@ from .variance import (
     UnsupportedAnalyticCaseError,
     VarianceReport,
     block_variance,
-    closed_form,
     parameter_value,
-    var_J2_ap,
-    var_J2_rp,
-    var_J2_ts,
-    var_Jsq_rsplit,
-    var_Jsq_split,
-    var_deltaJ2_ap,
-    var_deltaJ2_rp,
-    var_deltaJ2_ts,
     var_parameter,
 )
 from .hypothesis import (

@@ -93,12 +93,16 @@ def separable_bound(parameter, n: int) -> SeparableBound:
     return SeparableBound(parameter, n, n * (n - 2) / 4, "below")
 
 
+def _check_variance(variance) -> None:
+    if not (math.isfinite(variance) and variance >= 0):
+        raise ValueError(f"variance must be finite and non-negative, got {variance}")
+
+
 def cantelli_bound(variance: float, t: float) -> float:
     """One-sided tail bound on a deviation of at least ``t``."""
-    if t <= 0:
-        raise ValueError("the deviation t must be positive")
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"the deviation t must be positive and finite, got {t}")
+    _check_variance(variance)
     return variance / (variance + t * t)
 
 
@@ -107,6 +111,7 @@ def p_value_bound(estimate: float, bound: SeparableBound, variance: float) -> fl
 
     Returns 1.0 when the estimate does not violate the bound (no evidence).
     """
+    _check_variance(variance)
     if bound.violation_side == "above":
         t = estimate - bound.bound
     else:
@@ -246,8 +251,8 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
         parameter = Parameter.parse(parameter)
     if t is None:
         t = 0.1 * (n / 2)
-    if t <= 0:
-        raise ValueError("the margin t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"the margin t must be positive and finite, got {t}")
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
     target = 1 - gamma

@@ -29,8 +29,8 @@ consecutive; split patterns consume the first-member series then the
 second-member series of a slot; random patterns consume the slot-index
 uniforms of a direction as one block before any outcome draws.  Each
 direction's outcome uniforms are drawn as one block, which yields the same
-stream, and the same record, as calling ``sample_total_spin``,
-``sample_pair`` or ``sample_single`` once per slot in that order.
+stream, and the same record, as drawing one slot at a time in that order;
+the tests keep that slot-by-slot reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -564,7 +564,8 @@ def _collect(name, state, rng, k, l, **extra):
 # integer sums, as ``_Kind.sums`` reduces them from a record and
 # ``_Kind.counts`` draws them.  Total-spin sums are ``(sum 2m, sum (2m)^2)``;
 # pair and split sums are the product sum, followed for a variance block by
-# the cross sums of :func:`_cross_sums`.
+# the cross sums of :func:`_cross_sums`, whose sum over distinct units is
+# ``sum_{t != u} A_t B_u = (sum A)(sum B) - sum A_t B_t``.
 
 
 def _ts_j2(n, k, l, s1_sum, s2_sum):
@@ -650,63 +651,6 @@ def _outcome_sums(ds, axis, cross=False, *, what, over=None):
     if ds.first[axis].shape[1 - over] < 2:  # the cross sum runs over distinct A/B
         raise ValueError(f"{what} variance estimate needs {'KL'[over]} >= 2")
     return _cross_sums(ds, axis, over)
-
-
-# --------------------------------------------------------------------------
-# estimator operations
-# --------------------------------------------------------------------------
-
-
-def est_J2_ts(ds: TotalSpinDataset, axis) -> float:
-    """Sample mean of m^2 for one direction."""
-    return _ts_j2(ds.n_qubits, ds.k, None, *_total_spin_sums(ds, axis))
-
-
-def est_deltaJ2_ts(ds: TotalSpinDataset, axis) -> float:
-    """Unbiased sample variance of m for one direction."""
-    sums = _total_spin_sums(ds, axis)
-    if ds.k < 2:
-        raise ValueError("sample variance needs K >= 2")
-    return _ts_dj2(ds.n_qubits, ds.k, None, *sums)
-
-
-def est_J2_ap(ds: PairDataset, axis) -> float:
-    """Second-moment estimate from all ordered-pair products."""
-    return _ap_j2(ds.n_qubits, ds.k, None, *_outcome_sums(ds, axis, what="pair"))
-
-
-def est_deltaJ2_ap(ds: PairDataset, axis) -> float:
-    """Variance estimate from pair products plus the factored cross term.
-
-    The cross sum over slot pairs and distinct repetitions is evaluated via
-    sum_{k!=l} A_k B_l = (sum A)(sum B) - sum A_k B_k with A_k/B_k the
-    per-repetition slot sums of first/second members.
-    """
-    sums = _outcome_sums(ds, axis, True, what="pair", over=0)
-    return _ap_dj2(ds.n_qubits, ds.k, None, *sums)
-
-
-def est_Jsq_split(ds: SplitSingleDataset, axis) -> float:
-    """Squared-first-moment estimate from split single-qubit products."""
-    return _split_jsq(ds.n_qubits, ds.k, None, *_outcome_sums(ds, axis, what="split"))
-
-
-def est_J2_rp(ds: RandomPairDataset, axis) -> float:
-    """Second-moment estimate from randomly sampled pair slots."""
-    sums = _outcome_sums(ds, axis, what="random-pair")
-    return _rp_j2(ds.n_qubits, ds.k, ds.l, *sums)
-
-
-def est_deltaJ2_rp(ds: RandomPairDataset, axis) -> float:
-    """Variance estimate for random pairs; cross term factored per slot."""
-    sums = _outcome_sums(ds, axis, True, what="random-pair", over=1)
-    return _rp_dj2(ds.n_qubits, ds.k, ds.l, *sums)
-
-
-def est_Jsq_rsplit(ds: RandomSplitDataset, axis) -> float:
-    """Squared-first-moment estimate from random split cells."""
-    sums = _outcome_sums(ds, axis, what="random-split")
-    return _rsplit_jsq(ds.n_qubits, ds.k, ds.l, *sums)
 
 
 # --------------------------------------------------------------------------
@@ -1318,6 +1262,8 @@ def read_dataset(src):
     if kind not in _KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     n = _header_int(header, "n_qubits")
+    if n < 2:
+        raise ValueError(f"dataset header field n_qubits must be at least 2, got {n}")
     k = _header_int(header, "k")
     l = _header_int(header, "l") if "l" in header else None
     if not line.strip():  # the column header may follow one blank line

@@ -7,7 +7,8 @@ variance engine consume:
 * single-qubit expectations ``<sigma_a^(i)>``,
 * two-qubit correlations ``<sigma_a^(i) sigma_a^(j)>``,
 * the exact outcome distribution of a collective ``J_a`` measurement,
-* samplers for collective, pair and single-qubit measurements.
+* the cached cut tables and slot classes the collectors and counts
+  samplers of :mod:`spinsq.schemes` draw from.
 
 Outcomes are integer encoded: a collective result ``m`` is stored as ``2m``
 and a single-qubit result ``s = +-1/2`` as ``2s`` in ``{-1, +1}``, so that
@@ -44,15 +45,9 @@ __all__ = [
     "single_expectation",
     "pair_correlation",
     "total_spin_distribution",
-    "sample_total_spin",
-    "sample_pair",
-    "sample_single",
     "moment_table",
     "outcome_grid",
-    "ts_sampling_table",
     "joint_pair_cuts",
-    "single_plus_prob",
-    "single_plus_cuts",
 ]
 
 N_MAX_DENSE = 14
@@ -501,19 +496,15 @@ def total_spin_distribution(state: StateModel, axis: Direction):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling tables
 # ---------------------------------------------------------------------------
 #
-# All samplers share one inversion convention: draw u in [0, 1) and select
-# the category index equal to the number of cumulative cut points <= u.
-# The collectors in ``schemes`` apply exactly this rule to whole blocks of
-# uniforms, which is what makes them bit-identical to these samplers.
-
-
-def ts_sampling_table(state: StateModel, axis: Direction):
-    """(outcomes, cumulative cut points) for collective sampling."""
-    outcomes, probs = total_spin_distribution(state, axis)
-    return outcomes, np.cumsum(probs)[:-1]
+# Every draw shares one inversion convention: draw u in [0, 1) and select the
+# category index equal to the number of cumulative cut points <= u.  The
+# collectors in ``schemes`` apply this rule to whole blocks of uniforms over
+# the cut tables below, built once per (state, axis).  States are immutable,
+# so the state object is a safe cache key; the arrays are shared and
+# read-only.
 
 
 def joint_pair_cuts(a_i, a_j, c) -> np.ndarray:
@@ -532,25 +523,6 @@ def joint_pair_cuts(a_i, a_j, c) -> np.ndarray:
     return np.stack([p_pp, p_pp + p_pm, p_pp + p_pm + p_mp], axis=-1)
 
 
-_PAIR_FIRST = np.array([1, 1, -1, -1], dtype=np.int64)
-_PAIR_SECOND = np.array([1, -1, 1, -1], dtype=np.int64)
-
-
-def single_plus_prob(a) -> np.ndarray:
-    """Probability of the encoded +1 outcome given ``<sigma>`` = a."""
-    return 0.5 * (1.0 + np.asarray(a, dtype=np.float64))
-
-
-def single_plus_cuts(state: StateModel, axis: Direction) -> np.ndarray:
-    """Per-qubit ``P(+1)`` cut points along ``axis``."""
-    _check_axis(axis)
-    return single_plus_prob(state._singles(axis).astype(np.float64))
-
-
-# Cut tables of the collectors, built once per (state, axis) from the same
-# float64 inputs the per-slot samplers use.  States are immutable, so the
-# state object is a safe cache key; the arrays are shared and read-only.
-
 _CUT_CACHE_SIZE = 48
 
 
@@ -561,8 +533,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_CUT_CACHE_SIZE)
 def _total_spin_cuts(state: StateModel, axis: Direction) -> np.ndarray:
-    """The cut points of :func:`ts_sampling_table`."""
-    return _read_only(ts_sampling_table(state, axis)[1])
+    """Cumulative cut points of the collective outcomes of :func:`outcome_grid`."""
+    return _read_only(np.cumsum(total_spin_distribution(state, axis)[1])[:-1])
 
 
 @lru_cache(maxsize=_CUT_CACHE_SIZE)
@@ -582,8 +554,9 @@ def _pair_cut_columns(state: StateModel, axis: Direction) -> tuple:
 
 @lru_cache(maxsize=_CUT_CACHE_SIZE)
 def _single_cuts(state: StateModel, axis: Direction) -> np.ndarray:
-    """The cut points of :func:`single_plus_cuts`."""
-    return _read_only(single_plus_cuts(state, axis))
+    """Per-qubit cut points ``P(+1) = (1 + <sigma>) / 2`` along ``axis``."""
+    _check_axis(axis)
+    return _read_only(0.5 * (1.0 + state._singles(axis).astype(np.float64)))
 
 
 # Category probabilities of the counts samplers, taken from the same cut
@@ -637,41 +610,3 @@ def _split_classes(state: StateModel, axis: Direction) -> _Classes:
     qi, qj = rows[:, :1], rows[:, 1:]
     return _classes(np.hstack([qi * qj, qi * (1.0 - qj), (1.0 - qi) * qj,
                                (1.0 - qi) * (1.0 - qj)]), sizes)
-
-
-def sample_total_spin(state: StateModel, axis: Direction, rng: np.random.Generator,
-                      size: int | None = None):
-    """Draw encoded collective outcomes ``2m``; scalar when size is None."""
-    outcomes, cuts = ts_sampling_table(state, axis)
-    u = rng.random(1 if size is None else size)
-    picked = outcomes[np.searchsorted(cuts, u, side="right")]
-    return int(picked[0]) if size is None else picked
-
-
-def sample_pair(state: StateModel, axis: Direction, i: int, j: int,
-                rng: np.random.Generator, size: int | None = None):
-    """Draw joint encoded outcomes ``(2s_i, 2s_j)`` of two distinct qubits."""
-    _check_axis(axis)
-    _check_qubit(state, i)
-    _check_qubit(state, j)
-    if i == j:
-        raise ValueError("pair sampling needs two distinct qubits")
-    a = state._singles(axis)
-    cuts = joint_pair_cuts(float(a[i]), float(a[j]), float(state._pairs(axis)[i, j]))
-    u = rng.random(1 if size is None else size)
-    cat = np.searchsorted(cuts, u, side="right")
-    first, second = _PAIR_FIRST[cat], _PAIR_SECOND[cat]
-    if size is None:
-        return int(first[0]), int(second[0])
-    return first, second
-
-
-def sample_single(state: StateModel, axis: Direction, i: int,
-                  rng: np.random.Generator, size: int | None = None):
-    """Draw encoded outcomes ``2s`` of one qubit."""
-    _check_axis(axis)
-    _check_qubit(state, i)
-    cut = float(single_plus_prob(float(state._singles(axis)[i])))
-    u = rng.random(1 if size is None else size)
-    out = 1 - 2 * (u >= cut).astype(np.int64)
-    return int(out[0]) if size is None else out

@@ -1,8 +1,20 @@
 """Reference implementations the tests check the package against.
 
+Nothing in ``spinsq`` calls these; they are the independent answers the
+collectors, the estimator and variance cores and the counts samplers are
+checked against.
+
+* ``sample_total_spin``/``sample_pair``/``sample_single``: one slot's
+  measurement runs, drawn by inversion of the state's correlators.
 * ``slot_*``: the measurement record of each collector, built with one
-  ``sample_total_spin``/``sample_pair``/``sample_single`` call per slot in
-  the draw order documented in :mod:`spinsq.schemes`.
+  per-slot sampler call per slot in the draw order documented in
+  :mod:`spinsq.schemes`.
+* ``est_*``: the estimator of one direction block applied to a record,
+  and ``var_*``: its exact variance on a moment table; both read the
+  scheme table, and ``var_*`` check the budget by the rules of
+  :mod:`spinsq.variance`.
+* ``closed_form``: the paper's closed-form parameter variances of the
+  reference states, an oracle for ``var_parameter``.
 * ``shot_trials``: ``run_trials`` on the shot-level path, each trial
   estimating from the record ``collect_datasets`` draws.
 * ``exact_sums_pmf``: the exact law of one direction's integer sums over
@@ -19,15 +31,18 @@ import numpy as np
 
 from spinsq.montecarlo import _trial_stats, child_generator
 from spinsq.schemes import (
+    _KINDS,
     _SCHEMES,
     PairDataset,
     Parameter,
+    ParameterKind,
     RandomPairDataset,
     RandomSplitDataset,
     Scheme,
     SplitSingleDataset,
     TotalSpinDataset,
     _budget,
+    _parameter_blocks,
     collect_datasets,
     estimate_parameter,
     ordered_pairs,
@@ -37,11 +52,56 @@ from spinsq.schemes import (
 from spinsq.states import (
     DIRECTIONS,
     Direction,
-    sample_pair,
-    sample_single,
-    sample_total_spin,
+    _check_axis,
+    _check_qubit,
+    joint_pair_cuts,
     total_spin_distribution,
 )
+from spinsq.variance import _check_budget, _rule, _table
+
+# ---------------------------------------------------------------- per-slot samplers
+# Each draws u in [0, 1) and selects the category index equal to the number
+# of cumulative cut points <= u, the inversion rule of the collectors.
+
+_PAIR_FIRST = np.array([1, 1, -1, -1], dtype=np.int64)
+_PAIR_SECOND = np.array([1, -1, 1, -1], dtype=np.int64)
+
+
+def sample_total_spin(state, axis, rng, size=None):
+    """Draw encoded collective outcomes ``2m``; scalar when size is None."""
+    outcomes, probs = total_spin_distribution(state, axis)
+    cuts = np.cumsum(probs)[:-1]
+    u = rng.random(1 if size is None else size)
+    picked = outcomes[np.searchsorted(cuts, u, side="right")]
+    return int(picked[0]) if size is None else picked
+
+
+def sample_pair(state, axis, i, j, rng, size=None):
+    """Draw joint encoded outcomes ``(2s_i, 2s_j)`` of two distinct qubits."""
+    _check_axis(axis)
+    _check_qubit(state, i)
+    _check_qubit(state, j)
+    if i == j:
+        raise ValueError("pair sampling needs two distinct qubits")
+    a = state._singles(axis)
+    cuts = joint_pair_cuts(float(a[i]), float(a[j]), float(state._pairs(axis)[i, j]))
+    u = rng.random(1 if size is None else size)
+    cat = np.searchsorted(cuts, u, side="right")
+    first, second = _PAIR_FIRST[cat], _PAIR_SECOND[cat]
+    if size is None:
+        return int(first[0]), int(second[0])
+    return first, second
+
+
+def sample_single(state, axis, i, rng, size=None):
+    """Draw encoded outcomes ``2s`` of one qubit."""
+    _check_axis(axis)
+    _check_qubit(state, i)
+    cut = 0.5 * (1.0 + float(state._singles(axis)[i]))  # P(+1)
+    u = rng.random(1 if size is None else size)
+    out = 1 - 2 * (u >= cut).astype(np.int64)
+    return int(out[0]) if size is None else out
+
 
 # ---------------------------------------------------------------- records
 
@@ -121,6 +181,154 @@ def slot_datasets(state, scheme, parameter, rng, *, k=None, l=None):
     if scheme is Scheme.RP2 and dirs:
         out["random_split"] = slot_random_split(state, l, k, rng, dirs)
     return out
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _estimator(scheme, block, split=False):
+    """``estimate(record, axis)``: one direction block of ``scheme``, the
+    block's ``value`` (with ``split``, its ``split_value``) of the record's
+    sums, as ``estimate_parameter`` applies it."""
+    row = _SCHEMES[scheme]
+    rule = row.blocks[block]
+    sums = _KINDS[row.split if split else row.record].sums
+    value, cross = (rule.split_value, False) if split else (rule.value, rule.cross)
+
+    def estimate(ds, axis):
+        return value(ds.n_qubits, ds.k, getattr(ds, "l", None), *sums(ds, axis, cross))
+    return estimate
+
+
+def _variance(scheme, block, split=False, **defaults):
+    """``variance(mt, axis, *budget, exact=False)``: the exact variance of
+    ``_estimator(scheme, block, split)``, the block's ``core`` (with
+    ``split``, its ``split_core``) of one direction's aggregates.  The budget
+    comes in the order of the scheme's budget fields (K, or L then K) and is
+    checked as ``block_variance`` checks it."""
+    rule = _rule(scheme, block)
+    core = rule.split_core if split else rule.core
+    fields = _SCHEMES[scheme].budget
+
+    def variance(mt, axis, *budget, exact=False, **named):
+        b = {"k": None, "l": None, **defaults, **dict(zip(fields, budget)), **named}
+        _check_budget(rule, b["k"], b["l"])
+        mt = _table(mt)
+        return core(mt.n_qubits, mt.aggregates(Direction(axis), exact), b["k"], b["l"])
+    return variance
+
+
+est_J2_ts = _estimator(Scheme.TS, "j2")
+est_deltaJ2_ts = _estimator(Scheme.TS, "dj2")
+est_J2_ap = _estimator(Scheme.AP1, "j2")
+est_deltaJ2_ap = _estimator(Scheme.AP1, "dj2")
+est_Jsq_split = _estimator(Scheme.AP2, "dj2", split=True)
+est_J2_rp = _estimator(Scheme.RP1, "j2")
+est_deltaJ2_rp = _estimator(Scheme.RP1, "dj2")
+est_Jsq_rsplit = _estimator(Scheme.RP2, "dj2", split=True)
+
+var_J2_ts = _variance(Scheme.TS, "j2")
+var_deltaJ2_ts = _variance(Scheme.TS, "dj2")
+var_J2_ap = _variance(Scheme.AP1, "j2")
+var_deltaJ2_ap = _variance(Scheme.AP1, "dj2")
+var_Jsq_split = _variance(Scheme.AP2, "dj2", split=True)
+var_J2_rp = _variance(Scheme.RP1, "j2")
+var_deltaJ2_rp = _variance(Scheme.RP1, "dj2", k=1)  # analytic for K = 1 only
+var_Jsq_rsplit = _variance(Scheme.RP2, "dj2", split=True)
+
+
+# ---------------------------------------------------------------- closed forms
+
+_CF_KEYS = {
+    (ParameterKind.B, "singlet"),
+    (ParameterKind.D, "singlet"),
+    (ParameterKind.C, "dicke_half"),
+}
+
+
+def closed_form(scheme, parameter, family, n, *, k=None, l=None, exact=False):
+    """Reference-state closed form of `var_parameter`.
+
+    Supported: sum-of-variances (kind B) and planar-variance (kind D)
+    parameters of the bonded-singlet state, and the planar-moment parameter
+    (kind C, m = z) of the half-excited symmetric state (even N).  Budgets
+    are checked by the rules `var_parameter` applies.
+    """
+    scheme = Scheme(scheme)
+    if isinstance(parameter, str):
+        parameter = Parameter.parse(parameter)
+    key = (parameter.kind, family)
+    if key not in _CF_KEYS:
+        raise ValueError(f"no closed form for parameter {parameter.kind.value!r} "
+                         f"with family {family!r}")
+    if family == "singlet":
+        if n < 2 or n % 2:
+            raise ValueError("bonded-singlet closed forms need even N >= 2")
+    else:
+        if n < 2 or n % 2:
+            raise ValueError("half-excited closed forms need even N >= 2")
+        if parameter.m_axis is not Direction.Z:
+            raise ValueError("the half-excited closed form fixes m = z")
+
+    for _, block, _ in _parameter_blocks(parameter):
+        _check_budget(_rule(scheme, block), k, l)
+
+    value = _closed_form_value(scheme, parameter.kind, family, n, k, l)
+    return value if exact else float(value)
+
+
+def _closed_form_value(scheme, kind, family, n, k, l) -> Fraction:
+    n = Fraction(n)
+    if family == "singlet" and kind is ParameterKind.B:
+        if scheme is Scheme.TS:
+            return Fraction(0)
+        if scheme is Scheme.AP1:
+            num = 3 * n * (
+                k * (n - 2) * (n - 1) ** 4
+                - n ** 5 + 6 * n ** 4 - 13 * n ** 3 + 14 * n * n - 7 * n + 2
+            )
+            return num / (16 * (k - 1) * k * (n - 1) ** 4)
+        if scheme is Scheme.AP2:
+            return 3 * n * (3 * n - 2) / (16 * k)
+        if scheme is Scheme.RP1:
+            num = 3 * n ** 3 * (l * (n - 2) * (n - 1) ** 2 + 2 * n * n - 3 * n + 2)
+            return num / (16 * (l - 1) * l * (n - 1) ** 2)
+        return 3 * n ** 3 * (3 * n - 2) / (16 * k * l)
+    if family == "singlet":  # kind D
+        if scheme is Scheme.TS:
+            return Fraction(0)
+        if scheme is Scheme.AP1:
+            num = n * (
+                k * (n - 1) ** 2 * (2 * n ** 3 - 8 * n * n + 11 * n - 6)
+                - 2 * n ** 5 + 12 * n ** 4 - 27 * n ** 3 + 32 * n * n - 19 * n + 6
+            )
+            return num / (16 * (k - 1) * k * (n - 1) ** 2)
+        if scheme is Scheme.AP2:
+            return n * (6 * n ** 3 - 16 * n * n + 15 * n - 6) / (16 * k)
+        if scheme is Scheme.RP1:
+            num = n ** 3 * (l * (2 * n ** 3 - 8 * n * n + 11 * n - 6) + 4 * n * n - 7 * n + 6)
+            return num / (16 * (l - 1) * l)
+        return n ** 3 * (6 * n ** 3 - 16 * n * n + 15 * n - 6) / (16 * k * l)
+    # half-excited symmetric state, kind C
+    if scheme is Scheme.TS:
+        return n * (n ** 3 + 4 * n * n - 4 * n - 16) / (64 * k)
+    if scheme is Scheme.AP1:
+        num = n * (
+            k * (2 * n ** 5 - 10 * n ** 4 + 21 * n ** 3 - 25 * n * n + 16 * n - 4)
+            - 2 * n ** 5 + 10 * n ** 4 - 19 * n ** 3 + 21 * n * n - 12 * n + 4
+        )
+        return num / (32 * (k - 1) * k * (n - 1) ** 2)
+    if scheme is Scheme.AP2:
+        return n * (6 * n ** 4 - 20 * n ** 3 + 25 * n * n - 16 * n + 4) / (
+            32 * k * (n - 1)
+        )
+    if scheme is Scheme.RP1:
+        num = n * n * (
+            l * (2 * n ** 4 - 8 * n ** 3 + 13 * n * n - 12 * n + 4)
+            + 4 * n ** 3 - 9 * n * n + 12 * n - 4
+        )
+        return num / (32 * (l - 1) * l)
+    return n * n * (6 * n ** 4 - 16 * n ** 3 + 17 * n * n - 12 * n + 4) / (32 * k * l)
 
 
 # ---------------------------------------------------------------- trials

@@ -26,8 +26,6 @@ from spinsq.schemes import (
     PairDataset,
     Parameter,
     RandomPairDataset,
-    est_deltaJ2_ap,
-    est_deltaJ2_rp,
     ordered_pairs,
 )
 from spinsq.states import (
@@ -38,17 +36,20 @@ from spinsq.states import (
     ManyBodySinglet,
     moment_table,
 )
-from spinsq.variance import (
+from spinsq.variance import parameter_value, var_parameter
+
+from oracles import (
+    _est_deltaJ2_ap_naive,
+    _est_deltaJ2_rp_naive,
     closed_form,
-    parameter_value,
+    est_deltaJ2_ap,
+    est_deltaJ2_rp,
+    shot_trials,
     var_deltaJ2_ap,
     var_deltaJ2_ts,
     var_J2_ap,
     var_J2_ts,
-    var_parameter,
 )
-
-from oracles import _est_deltaJ2_ap_naive, _est_deltaJ2_rp_naive, shot_trials
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
 

@@ -376,11 +376,28 @@ def test_estimate_rejects_header_with_huge_n(pattern, scheme, tmp_path):
     ("ts", ["--k", "3"], " n_qubits=4", " n_qubits=four", "n_qubits must be an integer"),
     ("ap", ["--k", "2"], " k=2", " k=2.0", "k must be an integer"),
     ("rp", ["--l", "2", "--k", "1"], " l=2", " l=", "l must be an integer"),
-], ids=["no-n_qubits", "no-k", "text-n_qubits", "float-k", "empty-l"])
+    ("ts", ["--k", "3"], " n_qubits=4", " n_qubits=0", "n_qubits must be at least 2"),
+    ("ap", ["--k", "2"], " n_qubits=4", " n_qubits=0", "n_qubits must be at least 2"),
+    ("ap", ["--k", "2"], " n_qubits=4", " n_qubits=-1", "n_qubits must be at least 2"),
+    ("split", ["--k", "2"], " n_qubits=4", " n_qubits=0", "n_qubits must be at least 2"),
+    ("rp", ["--l", "2", "--k", "1"], " n_qubits=4", " n_qubits=1", "n_qubits must be at least 2"),
+], ids=["no-n_qubits", "no-k", "text-n_qubits", "float-k", "empty-l", "zero-n_qubits-ts",
+        "zero-n_qubits-ap", "negative-n_qubits-ap", "zero-n_qubits-split", "one-n_qubits-rp"])
 def test_estimate_names_the_bad_header_field(tmp_path, pattern, budget, old, new, match):
     dest = _edited_sample(tmp_path, pattern, budget, lambda rows: rows)
     dest.write_text(dest.read_text().replace(old, new, 1))
-    _assert_rejected(dest, {"ts": "ts", "ap": "ap1", "rp": "rp1"}[pattern], match)
+    scheme = {"ts": "ts", "ap": "ap1", "split": "ap2", "rp": "rp1"}[pattern]
+    _assert_rejected(dest, scheme, match)
+
+
+@pytest.mark.parametrize("variance", ["nan", "inf", "-5"])
+def test_estimate_rejects_a_bad_variance(tmp_path, variance):
+    # the estimate of a does not violate its bound, so no p-value is computed
+    dest = _edited_sample(tmp_path, "ts", ["--k", "3"], lambda rows: rows)
+    rc, out, err = run(["estimate", "--scheme", "ts", "--param", "a",
+                        f"--variance={variance}", str(dest)])
+    assert (rc, out) == (2, "")
+    assert "variance must be finite and non-negative" in json.loads(err)["error"]
 
 
 def test_estimate_rejects_negative_rep_or_slot(tmp_path):

@@ -60,6 +60,12 @@ def test_cantelli_validation():
         cantelli_bound(1.0, 0)
     with pytest.raises(ValueError):
         cantelli_bound(-0.1, 1.0)
+    for variance in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="variance must be finite and non-negative"):
+            cantelli_bound(variance, 1.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            cantelli_bound(1.0, t)
 
 
 def test_p_value_bound():
@@ -72,6 +78,11 @@ def test_p_value_bound():
     assert p_value_bound(2.0, below, 1.0) == cantelli_bound(1.0, 2.0)
     # exactly at the bound: no violation
     assert p_value_bound(5.0, b, 1.0) == 1.0
+    # a bad variance is refused even where the estimate violates nothing
+    for variance in (-5.0, float("nan"), float("inf")):
+        for estimate in (4, 30):
+            with pytest.raises(ValueError, match="variance must be finite and non-negative"):
+                p_value_bound(estimate, b, variance)
 
 
 def test_critical_noise():
@@ -240,8 +251,9 @@ def test_scheme_cost_ordering():
 
 
 def test_planner_validation():
-    with pytest.raises(ValueError):
-        required_budget("ts", "c", 10, t=0)
+    for t in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            required_budget("ts", "c", 10, t=t)
     with pytest.raises(ValueError):
         required_budget("ts", "c", 10, gamma=1.0)
     with pytest.raises(ValueError):

@@ -24,14 +24,6 @@ from spinsq.schemes import (
     collect_split_single,
     collect_total_spin,
     compose_parameter,
-    est_deltaJ2_ap,
-    est_deltaJ2_rp,
-    est_deltaJ2_ts,
-    est_J2_ap,
-    est_J2_rp,
-    est_J2_ts,
-    est_Jsq_rsplit,
-    est_Jsq_split,
     estimate_parameter,
     ordered_pairs,
     read_dataset,
@@ -54,6 +46,14 @@ from spinsq.variance import var_parameter
 from oracles import (
     _est_deltaJ2_ap_naive,
     _est_deltaJ2_rp_naive,
+    est_deltaJ2_ap,
+    est_deltaJ2_rp,
+    est_deltaJ2_ts,
+    est_J2_ap,
+    est_J2_rp,
+    est_J2_ts,
+    est_Jsq_rsplit,
+    est_Jsq_split,
     exact_sums_pmf,
     slot_all_pairs,
     slot_random_pairs,

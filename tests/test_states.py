@@ -16,12 +16,11 @@ from spinsq.states import (
     moment,
     moment_table,
     pair_correlation,
-    sample_pair,
-    sample_single,
-    sample_total_spin,
     single_expectation,
     total_spin_distribution,
 )
+
+from oracles import sample_pair, sample_single, sample_total_spin
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
 

@@ -29,10 +29,10 @@ from spinsq.states import (
     moment_table,
     total_spin_distribution,
 )
-from spinsq.variance import (
-    UnsupportedAnalyticCaseError,
+from spinsq.variance import UnsupportedAnalyticCaseError, parameter_value, var_parameter
+
+from oracles import (
     closed_form,
-    parameter_value,
     var_deltaJ2_ap,
     var_deltaJ2_rp,
     var_deltaJ2_ts,
@@ -41,7 +41,6 @@ from spinsq.variance import (
     var_J2_ts,
     var_Jsq_rsplit,
     var_Jsq_split,
-    var_parameter,
 )
 
 X, Y, Z = Direction.X, Direction.Y, Direction.Z
