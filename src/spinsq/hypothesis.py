@@ -103,6 +103,8 @@ def cantelli_bound(variance: float, t: float) -> float:
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"the deviation t must be positive and finite, got {t}")
     _check_variance(variance)
+    if variance == 0:  # no spread, no deviation; 0 / 0 once t * t underflows
+        return 0.0
     return variance / (variance + t * t)
 
 
@@ -168,11 +170,30 @@ def _aggs_at(base: dict, mixed: dict, p) -> dict:
     return out
 
 
+@lru_cache(maxsize=32)
+def _grid_aggs(n: int):
+    """Per-axis aggregates over the whole planner grid, read-only.
+
+    They do not depend on the budget, so they are built on first use per N
+    instead of at every grid evaluation.
+    """
+    out = {}
+    for ax, pair in _family_tables(n).items():
+        aggs = _aggs_at(*pair, _GRID)
+        for value in aggs.values():
+            value.setflags(write=False)
+        out[ax] = MappingProxyType(aggs)
+    return MappingProxyType(out)
+
+
 def _variance_at(scheme, parameter, n, tables, p, *, k=None, l=None):
+    """Parameter variance over the family at noise ``p``, a value or an
+    array; at ``_GRID`` itself the cached grid aggregates are used."""
+    grid = _grid_aggs(n) if p is _GRID else None
     total = 0.0
     w2 = (n - 1) * (n - 1)
     for ax, block, scaled in _parameter_blocks(parameter):
-        aggs = _aggs_at(*tables[ax], p)
+        aggs = _aggs_at(*tables[ax], p) if grid is None else grid[ax]
         v = block_variance(scheme, block, n, aggs, k=k, l=l)
         total += w2 * v if scaled else v
     return total
@@ -198,12 +219,14 @@ def _golden_max(fn, lo: float, hi: float, tol: float = _REFINE_TOL):
     return p, max(fc, fd)
 
 
-def _maximize_over_grid(fn, grid):
+def _maximize_over_grid(fn, grid, values=None):
     """Dense-grid argmax plus golden refinement in the bracketing cells.
 
-    ``fn`` takes the whole grid as one array and single points as floats.
+    ``fn`` takes the whole grid as one array and single points as floats;
+    ``values`` is ``fn(grid)`` when the caller already has it.
     """
-    values = fn(grid)
+    if values is None:
+        values = fn(grid)
     i = int(values.argmax())
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -215,10 +238,11 @@ def _maximize_over_grid(fn, grid):
     return p, v
 
 
-def _worst_case(scheme, parameter, n, tables, budget):
-    """``(p_max, var_max)`` of the parameter variance over the family."""
+def _worst_case(scheme, parameter, n, tables, budget, values=None):
+    """``(p_max, var_max)`` of the parameter variance over the family;
+    ``values`` is the variance over ``_GRID`` at this budget, if known."""
     return _maximize_over_grid(
-        lambda p: _variance_at(scheme, parameter, n, tables, p, **budget), _GRID
+        lambda p: _variance_at(scheme, parameter, n, tables, p, **budget), _GRID, values
     )
 
 
@@ -239,6 +263,44 @@ def max_variance_over_noise(scheme, parameter, n, *, k=None, l=None):
 # --------------------------------------------------------------------------
 
 
+_MAX_BUDGET = 1 << 62
+
+
+def _aimed_search(judge, lo, i, top):
+    """Smallest step above ``lo`` that passes, with ``judge``'s payload there.
+
+    ``judge(i)`` returns ``(passes, aim, payload)`` for budget step ``i``:
+    whether it passes, and the fractional step at which the 1/budget rule,
+    seen from ``i``, puts the crossing.  Step ``lo`` is taken to fail, ``i``
+    is tried first and no step beyond ``top`` is tried.  Each next step is
+    the aim rounded up and kept strictly inside the bracket of the highest
+    failing and lowest passing step; two aims in a row that do not halve
+    the bracket are followed by its midpoint, and until a step passes the
+    distance from the first step at least doubles.  Like the bisection it
+    replaces, this assumes pass/fail is monotone in the step.
+    """
+    first, hi, best, misses = i, None, None, 0
+    while True:
+        width = None if hi is None else hi - lo
+        passes, aim, payload = judge(i)
+        if passes:
+            hi, best = i, payload
+        else:
+            lo = i
+        if hi is None:
+            if lo >= top:
+                raise ValueError("no budget up to 2**62 passes: the margin t is too small")
+            i = min(max(math.ceil(min(aim, top)), 2 * lo - first + 1), top)
+            continue
+        if hi - lo == 1:
+            return hi, best
+        misses = misses + 1 if width is not None and 2 * (hi - lo) > width else 0
+        if misses >= 2:
+            i, misses = (lo + hi) // 2, 0
+        else:
+            i = min(max(math.ceil(min(aim, hi)), lo + 1), hi - 1)
+
+
 def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeResult:
     """Smallest budget whose worst-case Cantelli bound reaches 1 - gamma.
 
@@ -256,45 +318,39 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
     target = 1 - gamma
+    # the largest variance that passes; it only aims the search
+    v_star = target * t * t / gamma
+    if v_star == 0:
+        raise ValueError(f"the margin t is too small: (1 - gamma) * t * t underflows to 0, "
+                         f"got t={t}")
     tables = _family_tables(n)
     row = _SCHEMES[scheme]
 
-    def grid_bound(b):
-        var = _variance_at(scheme, parameter, n, tables, _GRID, **row.plan_budget(b))
-        return cantelli_bound(var.max(), t)
-
-    def refined(b):
-        p, var = _worst_case(scheme, parameter, n, tables, row.plan_budget(b))
-        return p, var, cantelli_bound(var, t)
-
-    # exponential search for a passing budget, then bisection (index space:
-    # budget = plan_min + plan_step * i); valid because the worst-case
-    # variance is pointwise non-increasing in the budget scalar
+    # budget = plan_min + plan_step * i; the worst-case variance falls like
+    # 1/budget, so b * v(b) / v_star aims at the budget where v reaches v_star
     def b_of(i):
         return row.plan_min + row.plan_step * i
 
-    b = row.plan_min
-    if grid_bound(b) > target:
-        hi = 1
-        while grid_bound(b_of(hi)) > target:
-            hi *= 2
-            if b_of(hi) > 1 << 62:  # pragma: no cover - variance vanishes
-                raise AssertionError("budget search failed to converge")
-        lo = hi // 2  # fails; hi passes
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if grid_bound(b_of(mid)) > target:
-                lo = mid
-            else:
-                hi = mid
-        b = b_of(hi)
+    def judge(i, var, payload):
+        aim = (b_of(i) * var / v_star - row.plan_min) / row.plan_step
+        return cantelli_bound(var, t) <= target, aim, payload
 
-    # confirm against the refined (sub-grid) worst case
-    p_max, var_max, bound = refined(b)
-    while bound > target:
-        b += row.plan_step
-        p_max, var_max, bound = refined(b)
+    def grid(i):
+        curve = _variance_at(scheme, parameter, n, tables, _GRID, **row.plan_budget(b_of(i)))
+        return judge(i, curve.max(), curve)
 
+    top = (_MAX_BUDGET - row.plan_min) // row.plan_step
+    found, curve = _aimed_search(grid, -1, 0, top)
+
+    def refined(i):
+        p, var = _worst_case(scheme, parameter, n, tables, row.plan_budget(b_of(i)),
+                             curve if i == found else None)
+        return judge(i, var, p)
+
+    # confirm against the refined (sub-grid) worst case, which is never
+    # below the grid's, so the step below still fails
+    i, p_max = _aimed_search(refined, found - 1, found, top)
+    b = b_of(i)
     cost = sample_cost(scheme, parameter, n, **row.plan_budget(b))
     return SampleSizeResult(scheme, parameter, n, float(t), float(gamma),
                             p_max, int(b), cost)

@@ -21,14 +21,26 @@ checked against.
   all shot records, the statistics the counts samplers draw.
 * ``_est_deltaJ2_*_naive``: the variance estimators as direct multiple sums
   in exact rational arithmetic.
+* ``bisect_budget``: ``required_budget`` by exponential search and
+  bisection over the grid bound, then a one-step-at-a-time walk over the
+  refined bound.
 """
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
+from spinsq.hypothesis import (
+    _GRID,
+    SampleSizeResult,
+    _family_tables,
+    _variance_at,
+    _worst_case,
+    cantelli_bound,
+)
 from spinsq.montecarlo import _trial_stats, child_generator
 from spinsq.schemes import (
     _KINDS,
@@ -46,6 +58,7 @@ from spinsq.schemes import (
     collect_datasets,
     estimate_parameter,
     ordered_pairs,
+    sample_cost,
     split_directions,
     square_pairs,
 )
@@ -476,3 +489,65 @@ def _est_deltaJ2_rp_naive(ds: RandomPairDataset, axis) -> float:
         - Fraction(n * n, l * (l - 1) * k * k) * cross
     )
     return float(est)
+
+
+# ---------------------------------------------------------------- planner
+
+
+def bisect_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeResult:
+    """``required_budget`` searching the budget steps blindly: an
+    exponential search for a passing step and a bisection, each step judged
+    by the grid bound, then one step at a time until the refined bound
+    passes."""
+    scheme = Scheme(scheme)
+    if isinstance(parameter, str):
+        parameter = Parameter.parse(parameter)
+    if t is None:
+        t = 0.1 * (n / 2)
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"the margin t must be positive and finite, got {t}")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie strictly between 0 and 1")
+    target = 1 - gamma
+    tables = _family_tables(n)
+    row = _SCHEMES[scheme]
+
+    def grid_bound(b):
+        var = _variance_at(scheme, parameter, n, tables, _GRID, **row.plan_budget(b))
+        return cantelli_bound(var.max(), t)
+
+    def refined(b):
+        p, var = _worst_case(scheme, parameter, n, tables, row.plan_budget(b))
+        return p, var, cantelli_bound(var, t)
+
+    # exponential search for a passing budget, then bisection (index space:
+    # budget = plan_min + plan_step * i); valid because the worst-case
+    # variance is pointwise non-increasing in the budget scalar
+    def b_of(i):
+        return row.plan_min + row.plan_step * i
+
+    b = row.plan_min
+    if grid_bound(b) > target:
+        hi = 1
+        while grid_bound(b_of(hi)) > target:
+            hi *= 2
+            if b_of(hi) > 1 << 62:  # pragma: no cover - variance vanishes
+                raise AssertionError("budget search failed to converge")
+        lo = hi // 2  # fails; hi passes
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if grid_bound(b_of(mid)) > target:
+                lo = mid
+            else:
+                hi = mid
+        b = b_of(hi)
+
+    # confirm against the refined (sub-grid) worst case
+    p_max, var_max, bound = refined(b)
+    while bound > target:
+        b += row.plan_step
+        p_max, var_max, bound = refined(b)
+
+    cost = sample_cost(scheme, parameter, n, **row.plan_budget(b))
+    return SampleSizeResult(scheme, parameter, n, float(t), float(gamma),
+                            p_max, int(b), cost)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from oracles import bisect_budget
 
 from spinsq.hypothesis import (
+    _GRID,
     SampleSizeResult,
     _aggs_at,
     _family_tables,
     _maximize_over_grid,
     _variance_at,
+    _worst_case,
     cantelli_bound,
     critical_noise,
     max_variance_over_noise,
@@ -42,6 +45,9 @@ def test_separable_bound_requires_two_qubits():
 def test_cantelli_values():
     assert cantelli_bound(0.25, 0.5) == 0.5
     assert cantelli_bound(0.0, 2.0) == 0.0
+    # t * t underflows to 0: a zero variance still bounds the tail by 0
+    assert cantelli_bound(0.0, 1e-200) == 0.0
+    assert cantelli_bound(1e-300, 1e-200) == 1.0
     assert cantelli_bound(0.0284, 0.5) == pytest.approx(0.10204, abs=5e-5)
 
 
@@ -137,6 +143,17 @@ def test_grid_evaluation_matches_pointwise(n):
                 [_variance_at(scheme, Parameter("c"), n, tables, p, **args) for p in grid]
             )
             assert np.array_equal(curve, points), (name, b)
+
+
+@pytest.mark.parametrize("scheme,kw", [
+    ("ts", dict(k=100)), ("ap2", dict(k=10)), ("rp1", dict(l=100, k=1)),
+])
+def test_cached_grid_aggregates_match_a_fresh_grid(scheme, kw):
+    # _GRID itself reads the aggregates cached per N; a copy computes them
+    tables = _family_tables(8)
+    cached = _variance_at(scheme, Parameter("c"), 8, tables, _GRID, **kw)
+    fresh = _variance_at(scheme, Parameter("c"), 8, tables, _GRID.copy(), **kw)
+    assert cached.tobytes() == fresh.tobytes()
 
 
 def test_family_requires_two_qubits():
@@ -258,6 +275,13 @@ def test_planner_validation():
         required_budget("ts", "c", 10, gamma=1.0)
     with pytest.raises(ValueError):
         required_budget("ts", "c", 10, gamma=0.0)
+    # (1 - gamma) * t * t underflows to 0: no variance passes at any budget
+    for t, gamma in ((1e-200, 0.95), (1e-155, 1 - 1e-16)):
+        with pytest.raises(ValueError, match="the margin t is too small"):
+            required_budget("ts", "c", 4, t=t, gamma=gamma)
+    # a variance of about 5e-202 would pass, far beyond any budget
+    with pytest.raises(ValueError, match="no budget up to 2\\*\\*62 passes"):
+        required_budget("ts", "c", 4, t=1e-100)
 
 
 # (budget, total preparations) of the fig9 sweep: parameter c, N = 4, 6, ..., 20
@@ -325,3 +349,75 @@ def test_result_serialization():
     assert data["parameter"] == "c"
     assert data["budget"] == r.budget
     assert data["total_preparations"] == r.total_preparations
+
+
+# ---------------------------------------------------------------- budget search
+
+
+def _key(r):
+    return (r.budget, r.total_preparations, r.worst_case_p.hex())
+
+
+# ts walks of more than 1000 refined steps (2-15 s each in the oracle):
+# checked by the adjacent pair of refined bounds the walk ends on instead
+_LONG_WALKS = {
+    ("d", 9, 0.003), ("d", 10, 0.003), ("d", 11, 0.003), ("d", 12, 0.003),
+    ("d", 12, 0.01), ("d:kzlxmy", 9, 0.003), ("d:kzlxmy", 10, 0.003),
+}
+
+
+@pytest.mark.parametrize("scheme", ["ts", "ap1", "ap2", "rp1", "rp2"])
+def test_required_budget_matches_the_bisection_oracle(scheme):
+    row = _SCHEMES[Scheme(scheme)]
+    for parameter in ("a", "b", "c", "d", "d:kzlxmy"):
+        for n in range(2, 13):
+            for t in (None, 0.01, 0.003):
+                r = required_budget(scheme, parameter, n, t=t)
+                if scheme == "ts" and (parameter, n, t) in _LONG_WALKS:
+                    tables = _family_tables(n)
+                    bounds = [
+                        cantelli_bound(_worst_case(Scheme(scheme), Parameter.parse(parameter),
+                                                   n, tables, row.plan_budget(b))[1], t)
+                        for b in (r.budget - row.plan_step, r.budget)
+                    ]
+                    assert bounds[0] > 0.05 >= bounds[1], (parameter, n, t)
+                    continue
+                assert _key(r) == _key(bisect_budget(scheme, parameter, n, t=t)), (parameter, n, t)
+            if n in (4, 12):
+                for gamma in (0.9, 0.99):
+                    r = required_budget(scheme, parameter, n, gamma=gamma)
+                    assert _key(r) == _key(bisect_budget(scheme, parameter, n, gamma=gamma))
+
+
+def test_refined_confirmation_is_aimed(monkeypatch):
+    # the refined bound passes far above the grid's answer here: walking
+    # one budget step at a time called _worst_case 1,007 times
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return _worst_case(*args, **kwargs)
+
+    monkeypatch.setattr("spinsq.hypothesis._worst_case", counted)
+    r = required_budget("ts", "c", 4, t=1e-4)
+    assert r.budget == 32530514707
+    assert r.worst_case_p.hex() == "0x1.8787746649f20p-3"
+    assert len(calls) <= 20
+
+
+def test_fig9_calls_evaluate_few_grids(monkeypatch):
+    # the 1/budget aim lands next to the crossing: 3-4 whole-grid
+    # evaluations per call, where exponential search and bisection took ~40
+    grids = []
+
+    def counted(*args, **kwargs):
+        if np.ndim(args[4]):
+            grids.append(args[:3])
+        return _variance_at(*args, **kwargs)
+
+    monkeypatch.setattr("spinsq.hypothesis._variance_at", counted)
+    for scheme in ("ts", "ap1", "ap2", "rp1", "rp2"):
+        for n in range(4, 21, 2):
+            grids.clear()
+            required_budget(scheme, "c", n)
+            assert 1 <= len(grids) <= 8, (scheme, n, len(grids))
