@@ -67,20 +67,6 @@ _PATTERNS = {
     **{name: name for name in _KINDS},
 }
 
-_CONFIG_TYPES = {
-    "k": int,
-    "l": int,
-    "trials": int,
-    "seed": int,
-    "threads": int,
-    "n": int,
-    "bins": int,
-    "gamma": float,
-    "variance": float,
-    "bin_width": float,
-}
-
-
 # --------------------------------------------------------------------------
 # configuration plumbing
 # --------------------------------------------------------------------------
@@ -135,10 +121,15 @@ def _is_int(token: str) -> bool:
 
 
 def _apply_config_file(args) -> None:
-    """Fill unset flags from a plain key=value file (flags win)."""
+    """Fill unset flags from a plain key=value file (flags win).
+
+    A value is converted and checked as its flag's would be.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    flags = {a.dest: a for a in sub.choices[args.command]._actions}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -151,11 +142,19 @@ def _apply_config_file(args) -> None:
                 )
             key = key.strip().replace("-", "_")
             value = value.strip()
-            # vars, not hasattr: a Namespace also has methods and dunders
-            if key not in vars(args) or key in ("config", "func", "command"):
+            flag = flags.get(key)
+            if flag is None or key in ("config", "help"):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                converted = (flag.type or str)(value)
+                valid = flag.choices is None or converted in flag.choices
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} has an invalid value "
+                                 f"{value!r}")
             if getattr(args, key) is None:
-                setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
+                setattr(args, key, converted)
 
 
 def _seed(args) -> int:

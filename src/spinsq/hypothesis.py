@@ -19,10 +19,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .schemes import (
+    _MAX_BUDGET,
     _SCHEMES,
     Parameter,
     ParameterKind,
     Scheme,
+    _as_parameter,
     _parameter_blocks,
     sample_cost,
 )
@@ -79,8 +81,7 @@ class SampleSizeResult:
 
 def separable_bound(parameter, n: int) -> SeparableBound:
     """The separable-state bound a violation must cross, and its side."""
-    if isinstance(parameter, str):
-        parameter = Parameter.parse(parameter)
+    parameter = _as_parameter(parameter)
     if n < 2:
         raise ValueError("bounds are defined for N >= 2")
     kind = parameter.kind
@@ -253,17 +254,13 @@ def max_variance_over_noise(scheme, parameter, n, *, k=None, l=None):
     golden-section search to 1e-6.
     """
     scheme = Scheme(scheme)
-    if isinstance(parameter, str):
-        parameter = Parameter.parse(parameter)
+    parameter = _as_parameter(parameter)
     return _worst_case(scheme, parameter, n, _family_tables(n), {"k": k, "l": l})
 
 
 # --------------------------------------------------------------------------
 # sample-size planning
 # --------------------------------------------------------------------------
-
-
-_MAX_BUDGET = 1 << 62
 
 
 def _aimed_search(judge, lo, i, top):
@@ -309,8 +306,7 @@ def required_budget(scheme, parameter, n, *, t=None, gamma=0.95) -> SampleSizeRe
     repetition), or the product K*L realized as K = 2 (random with split).
     """
     scheme = Scheme(scheme)
-    if isinstance(parameter, str):
-        parameter = Parameter.parse(parameter)
+    parameter = _as_parameter(parameter)
     if t is None:
         t = 0.1 * (n / 2)
     if not (math.isfinite(t) and t > 0):

@@ -31,8 +31,8 @@ from .hypothesis import required_budget
 from .schemes import (
     _SCHEMES,
     SCHEMA_VERSION,
-    Parameter,
     Scheme,
+    _as_parameter,
     _budget,
     _count_trial,
 )
@@ -87,12 +87,6 @@ def state_spec(state: StateModel) -> str:
     if isinstance(state, ManyBodySinglet):
         return f"singlet:{state.n_qubits}"
     return f"{type(state).__name__.lower()}:{state.n_qubits}"
-
-
-def _as_parameter(parameter) -> Parameter:
-    if isinstance(parameter, str):
-        return Parameter.parse(parameter)
-    return parameter
 
 
 # --------------------------------------------------------------------------

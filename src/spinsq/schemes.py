@@ -18,6 +18,9 @@ exact integers with a single final division.
 Each rule of a scheme is stated once, in the scheme table (``_KINDS`` per
 dataset kind, ``_SCHEMES`` per scheme), which collection, estimation, cost,
 the variance engine, the planner, the trial harness and the CLI all read.
+A pair or split record's layout is stated in its ``_Kind`` row: its slots
+are L drawn at random or its whole slot space (N(N-1) ordered pairs, or the
+N^2 cells for split runs), each with K joint runs or K/2 + K/2 split runs.
 An estimator sees a direction only through a few integer sums: those of a
 record (``_Kind.sums``), or the same sums drawn without the record by the
 kind's counts sampler (``_Kind.counts``), which is how trials run.
@@ -41,7 +44,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -60,6 +62,9 @@ from .states import (
 )
 
 SCHEMA_VERSION = 1
+# the largest budget K or L: the variance cores evaluate it as a float, the
+# samplers as a C long, and the planner searches no further
+_MAX_BUDGET = 1 << 62
 
 
 class Scheme(Enum):
@@ -138,6 +143,11 @@ class Parameter:
         return f"{self.kind.value}:{roles}"
 
 
+def _as_parameter(parameter) -> Parameter:
+    """``parameter``, parsed when it is given as a spec such as ``"c"``."""
+    return Parameter.parse(parameter) if isinstance(parameter, str) else parameter
+
+
 def _ordered_pair_slots(idx, n: int) -> np.ndarray:
     """The ``(i, j)`` rows of ordered distinct pair slots ``idx``."""
     i = idx // (n - 1)
@@ -181,6 +191,7 @@ def _parameter_blocks(parameter: Parameter) -> list:
 
 def split_directions(parameter: Parameter) -> tuple:
     """Directions whose variance block needs split-run data (AP2/RP2)."""
+    parameter = _as_parameter(parameter)
     return tuple([ax for ax, block, _ in _parameter_blocks(parameter) if block == "dj2"])
 
 
@@ -206,12 +217,6 @@ def _freeze_blocks(blocks, *, dtype=np.int64):
         arr.setflags(write=False)
         out[axis] = arr
     return MappingProxyType(out)
-
-
-def _check_signs(blocks, what):
-    for axis, arr in blocks.items():
-        if arr.size and not np.all(np.abs(arr) == 1):
-            raise ValueError(f"{what} outcomes must be encoded ±1 ({axis.value})")
 
 
 @dataclass(frozen=True)
@@ -243,8 +248,46 @@ class TotalSpinDataset:
                 )
 
 
+class _SlotRecord:
+    """The validation of the pair and split records, by their ``_Kind`` row."""
+
+    def __post_init__(self):
+        name = _KIND_NAMES[type(self)]
+        kind = _KINDS[name]
+        names = ("slots", "first", "second") if kind.random else ("first", "second")
+        blocks = {}
+        for attr in names:
+            blocks[attr] = _freeze_blocks(getattr(self, attr))
+            object.__setattr__(self, attr, blocks[attr])
+        if len({frozenset(b) for b in blocks.values()}) > 1:
+            raise ValueError(f"{'/'.join(names)} blocks cover different directions")
+        first, second = blocks["first"], blocks["second"]
+        some = next(iter(first.values()))
+        if some.ndim != 2:
+            raise ValueError(f"{name} outcome blocks must be 2-D (slots, runs) arrays")
+        k = int(self.k or some.shape[1] * (2 if kind.split else 1))
+        l = int(self.l or some.shape[0]) if kind.random else None
+        for key, value in _budget(kind.budget, k, l).items():
+            object.__setattr__(self, key, value)
+        kind.check_budget(f"{name} record", {"k": k, "l": l}, kind.minimum)
+        n = self.n_qubits
+        shape = (l if kind.random else kind.space(n), k // 2 if kind.split else k)
+        for axis in first:
+            if first[axis].shape != shape or second[axis].shape != shape:
+                raise ValueError(f"direction {axis.value}: expected shape {shape}")
+            if (np.abs(first[axis]) != 1).any() or (np.abs(second[axis]) != 1).any():
+                raise ValueError(f"direction {axis.value}: {name} outcomes must be encoded ±1")
+            if not kind.random:
+                continue
+            s = blocks["slots"][axis]
+            if s.shape != (l, 2) or s.min() < 0 or s.max() >= n:
+                raise ValueError(f"direction {axis.value}: slots must be (L, 2) pairs in [0, N)")
+            if not kind.split and (s[:, 0] == s[:, 1]).any():
+                raise ValueError(f"direction {axis.value}: slots must be distinct pairs")
+
+
 @dataclass(frozen=True)
-class PairDataset:
+class PairDataset(_SlotRecord):
     """Joint ±1 outcomes for every ordered distinct pair, K repetitions."""
 
     n_qubits: int
@@ -252,29 +295,9 @@ class PairDataset:
     second: Mapping[Direction, np.ndarray]
     k: int = field(default=0)
 
-    def __post_init__(self):
-        first = _freeze_blocks(self.first)
-        second = _freeze_blocks(self.second)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        if set(first) != set(second):
-            raise ValueError("first/second blocks cover different directions")
-        k = self.k or next(iter(first.values())).shape[1]
-        object.__setattr__(self, "k", int(k))
-        if self.k < 1:
-            raise ValueError("pair data needs K >= 1")
-        m = self.n_qubits * (self.n_qubits - 1)
-        for axis in first:
-            if first[axis].shape != (m, self.k) or second[axis].shape != (m, self.k):
-                raise ValueError(
-                    f"direction {axis.value}: expected shape ({m}, {self.k})"
-                )
-        _check_signs(first, "pair")
-        _check_signs(second, "pair")
-
 
 @dataclass(frozen=True)
-class SplitSingleDataset:
+class SplitSingleDataset(_SlotRecord):
     """Per cell (i, j) of the full index square: K/2 outcomes of qubit i from
     one run series and K/2 outcomes of qubit j from a disjoint series."""
 
@@ -283,28 +306,9 @@ class SplitSingleDataset:
     second: Mapping[Direction, np.ndarray]
     k: int
 
-    def __post_init__(self):
-        if self.k < 2 or self.k % 2:
-            raise ValueError("split data needs an even K >= 2")
-        first = _freeze_blocks(self.first)
-        second = _freeze_blocks(self.second)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        if set(first) != set(second):
-            raise ValueError("first/second blocks cover different directions")
-        cells = self.n_qubits * self.n_qubits
-        half = self.k // 2
-        for axis in first:
-            if first[axis].shape != (cells, half) or second[axis].shape != (cells, half):
-                raise ValueError(
-                    f"direction {axis.value}: expected shape ({cells}, {half})"
-                )
-        _check_signs(first, "split")
-        _check_signs(second, "split")
-
 
 @dataclass(frozen=True)
-class RandomPairDataset:
+class RandomPairDataset(_SlotRecord):
     """L random distinct ordered pairs per direction, K repetitions each."""
 
     n_qubits: int
@@ -314,46 +318,9 @@ class RandomPairDataset:
     l: int = field(default=0)
     k: int = field(default=0)
 
-    def __post_init__(self):
-        slots = _freeze_blocks(self.slots)
-        first = _freeze_blocks(self.first)
-        second = _freeze_blocks(self.second)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        if not (set(slots) == set(first) == set(second)):
-            raise ValueError("slot/outcome blocks cover different directions")
-        some = next(iter(first.values()))
-        l = self.l or some.shape[0]
-        k = self.k or some.shape[1]
-        object.__setattr__(self, "l", int(l))
-        object.__setattr__(self, "k", int(k))
-        if self.l < 2:
-            raise ValueError("random-pair data needs L >= 2 sampled slots")
-        if self.k < 1:
-            raise ValueError("random-pair data needs K >= 1")
-        n = self.n_qubits
-        for axis in slots:
-            s = slots[axis]
-            if s.shape != (self.l, 2):
-                raise ValueError(f"direction {axis.value}: slots must be (L, 2)")
-            if s.min() < 0 or s.max() >= n or (s[:, 0] == s[:, 1]).any():
-                raise ValueError(
-                    f"direction {axis.value}: slots must be distinct pairs in range"
-                )
-            if first[axis].shape != (self.l, self.k) or second[axis].shape != (
-                self.l,
-                self.k,
-            ):
-                raise ValueError(
-                    f"direction {axis.value}: expected shape ({self.l}, {self.k})"
-                )
-        _check_signs(first, "random-pair")
-        _check_signs(second, "random-pair")
-
 
 @dataclass(frozen=True)
-class RandomSplitDataset:
+class RandomSplitDataset(_SlotRecord):
     """L random cells of the full index square with split K/2 + K/2 runs."""
 
     n_qubits: int
@@ -362,42 +329,6 @@ class RandomSplitDataset:
     second: Mapping[Direction, np.ndarray]
     l: int = field(default=0)
     k: int = field(default=0)
-
-    def __post_init__(self):
-        slots = _freeze_blocks(self.slots)
-        first = _freeze_blocks(self.first)
-        second = _freeze_blocks(self.second)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        if not (set(slots) == set(first) == set(second)):
-            raise ValueError("slot/outcome blocks cover different directions")
-        some = next(iter(first.values()))
-        l = self.l or some.shape[0]
-        k = self.k or 2 * some.shape[1]
-        object.__setattr__(self, "l", int(l))
-        object.__setattr__(self, "k", int(k))
-        if self.l < 1:
-            raise ValueError("random-split data needs L >= 1")
-        if self.k < 2 or self.k % 2:
-            raise ValueError("random-split data needs an even K >= 2")
-        n = self.n_qubits
-        half = self.k // 2
-        for axis in slots:
-            s = slots[axis]
-            if s.shape != (self.l, 2) or s.min() < 0 or s.max() >= n:
-                raise ValueError(
-                    f"direction {axis.value}: slots must be (L, 2) index pairs"
-                )
-            if first[axis].shape != (self.l, half) or second[axis].shape != (
-                self.l,
-                half,
-            ):
-                raise ValueError(
-                    f"direction {axis.value}: expected shape ({self.l}, {half})"
-                )
-        _check_signs(first, "random-split")
-        _check_signs(second, "random-split")
 
 
 @dataclass(frozen=True)
@@ -470,32 +401,12 @@ def collect_total_spin(state, k, rng) -> TotalSpinDataset:
 
 def collect_all_pairs(state, k, rng) -> PairDataset:
     """K joint outcomes for each ordered distinct pair and direction."""
-    _check_collect("pairs", k=k)
-    n = state.n_qubits
-    first = {}
-    second = {}
-    for axis in DIRECTIONS:
-        cuts = [c[:, None] for c in _pair_cut_columns(state, axis)]
-        u = rng.random((n * (n - 1), k))
-        first[axis], second[axis] = _pair_outcomes(cuts, u)
-    return PairDataset(n, first, second, k=k)
+    return _collect_slots("pairs", state, rng, k)
 
 
 def collect_split_single(state, k, rng, directions=DIRECTIONS) -> SplitSingleDataset:
     """Split single-qubit runs over the full index square (K even)."""
-    _check_collect("split", k=k)
-    n = state.n_qubits
-    half = k // 2
-    first = {}
-    second = {}
-    for axis in directions:
-        axis = Direction(axis)
-        cuts = _single_cuts(state, axis)
-        u = rng.random((n, n, k))  # cell (i, j) is slot i * n + j
-        f = _single_outcomes(cuts[:, None, None], u[:, :, :half])
-        s = _single_outcomes(cuts[None, :, None], u[:, :, half:])
-        first[axis], second[axis] = f.reshape(n * n, half), s.reshape(n * n, half)
-    return SplitSingleDataset(n, first, second, k=k)
+    return _collect_slots("split", state, rng, k, directions=directions)
 
 
 def collect_random_pairs(state, l, k, rng) -> RandomPairDataset:
@@ -504,36 +415,39 @@ def collect_random_pairs(state, l, k, rng) -> RandomPairDataset:
     One uniform per slot indexes the N(N-1) ordered-pair cells directly, so
     the draw count is fixed and the cell distribution exactly uniform.
     """
-    _check_collect("random_pairs", l=l, k=k)
-    n = state.n_qubits
-    slots = {}
-    first = {}
-    second = {}
-    for axis in DIRECTIONS:
-        idx = _random_slots(rng, l, n * (n - 1))
-        cuts = [c[idx][:, None] for c in _pair_cut_columns(state, axis)]
-        first[axis], second[axis] = _pair_outcomes(cuts, rng.random((l, k)))
-        slots[axis] = _ordered_pair_slots(idx, n)
-    return RandomPairDataset(n, slots, first, second, l=l, k=k)
+    return _collect_slots("random_pairs", state, rng, k, l)
 
 
 def collect_random_split(state, l, k, rng, directions=DIRECTIONS) -> RandomSplitDataset:
     """L uniformly random cells of the full N^2 square with split runs."""
-    _check_collect("random_split", l=l, k=k)
+    return _collect_slots("random_split", state, rng, k, l, directions)
+
+
+def _collect_slots(name, state, rng, k, l=None, directions=DIRECTIONS):
+    """A pair or split record of dataset kind ``name``, in the draw order of
+    the module docstring: per direction, the L slot uniforms of a random
+    kind, then one (slots, K) block of outcome uniforms, a split slot's
+    first K/2 for its first member."""
+    kind = _KINDS[name]
+    _check_collect(name, k=k, l=l)
     n = state.n_qubits
     half = k // 2
     slots = {}
     first = {}
     second = {}
-    for axis in directions:
-        axis = Direction(axis)
-        idx = _random_slots(rng, l, n * n)
-        cuts = _single_cuts(state, axis)
-        u = rng.random((l, k))
-        first[axis] = _single_outcomes(cuts[idx // n][:, None], u[:, :half])
-        second[axis] = _single_outcomes(cuts[idx % n][:, None], u[:, half:])
-        slots[axis] = _square_slots(idx, n)
-    return RandomSplitDataset(n, slots, first, second, l=l, k=k)
+    for axis in map(Direction, directions):
+        idx = _random_slots(rng, l, kind.space(n)) if kind.random else np.arange(kind.space(n))
+        u = rng.random((len(idx), k))
+        if kind.split:
+            cuts = _single_cuts(state, axis)
+            first[axis] = _single_outcomes(cuts[idx // n][:, None], u[:, :half])
+            second[axis] = _single_outcomes(cuts[idx % n][:, None], u[:, half:])
+        else:
+            cuts = [c[idx][:, None] for c in _pair_cut_columns(state, axis)]
+            first[axis], second[axis] = _pair_outcomes(cuts, u)
+        if kind.random:
+            slots[axis] = kind.cells(idx, n)
+    return kind.record(n, slots, first, second, k, l)
 
 
 def collect_datasets(state, scheme, parameter, rng, *, k=None, l=None) -> dict:
@@ -642,14 +556,17 @@ def _cross_sums(ds, axis, over):
     return _product_sum(ds, axis), int(a.sum()), int(b.sum()), int((a * b).sum())
 
 
-def _outcome_sums(ds, axis, cross=False, *, what, over=None):
+def _outcome_sums(ds, axis, cross=False):
     """The product sum of one direction of a pair or split record, and with
-    ``cross`` its cross sums over array axis ``over``."""
-    axis = _axis_block(ds, ("first", "second"), axis, what)
+    ``cross`` its cross sums: over slots per repetition, or for a random kind
+    over repetitions per slot."""
+    name = _KIND_NAMES[type(ds)]
+    axis = _axis_block(ds, ("first", "second"), axis, name)
     if not cross:
         return (_product_sum(ds, axis),)
+    over = int(_KINDS[name].random)
     if ds.first[axis].shape[1 - over] < 2:  # the cross sum runs over distinct A/B
-        raise ValueError(f"{what} variance estimate needs {'KL'[over]} >= 2")
+        raise ValueError(f"{name} variance estimate needs {'KL'[over]} >= 2")
     return _cross_sums(ds, axis, over)
 
 
@@ -834,35 +751,65 @@ def _core_rsplit_jsq(n, aggs, k, l):
 
 @dataclass(frozen=True)
 class _Kind:
-    """A dataset kind: the record one collector draws, and its sums."""
+    """A dataset kind: the record one collector draws, its layout and its sums."""
 
     alias: str  # short name for ``spinsq sample --pattern``
     cls: type
     collect: Callable  # called as ``collect(state, rng=rng, **budget)``
     sums: Callable  # (record, axis, cross) -> one direction's integer sums
     counts: Callable  # (state, axis, rng, cross, k, l) -> the same sums, drawn
-    budget: tuple  # budget fields, in the order they are checked
-    minimum: Mapping  # the collector's minimum per budget field
-    k_even: bool  # K splits into two equal run series
-    preparations: Callable  # (n, k, l) -> state preparations per direction
+    minimum: Mapping  # the record's minimum per budget field
+    random: bool = False  # L slots drawn at random, not the whole slot space
+    split: bool = False  # K/2 + K/2 single-qubit runs on N^2 cells, not K pair runs
+    collect_minimum: Mapping | None = None  # the collector's, where it is higher
+
+    @property
+    def budget(self) -> tuple:
+        """The budget fields, in the order they are checked."""
+        return ("l", "k") if self.random else ("k",)
+
+    def check_budget(self, what, budget, minimum):
+        """Reject a budget below ``minimum``, or an odd K for split runs."""
+        for key in self.budget:
+            value, least, even = budget[key], minimum[key], key == "k" and self.split
+            if value is None or value < least or (even and value % 2):
+                raise ValueError(
+                    f"{what} needs {'an even ' if even else ''}{key.upper()} >= {least}"
+                )
+            if value > _MAX_BUDGET:
+                raise ValueError(f"{what} needs {key.upper()} <= 2**62")
+
+    def space(self, n) -> int:
+        """The slot space: cells of the index square, or ordered distinct pairs."""
+        return n * n if self.split else n * (n - 1)
+
+    def cells(self, idx, n) -> np.ndarray:
+        """The ``(i, j)`` rows of the slots ``idx`` of the slot space."""
+        return _square_slots(idx, n) if self.split else _ordered_pair_slots(idx, n)
+
+    def preparations(self, n, k, l) -> int:
+        """State preparations per direction: K per slot; K for total spin."""
+        if self.cls is TotalSpinDataset:
+            return k
+        return k * (l if self.random else self.space(n))
+
+    def record(self, n, slots, first, second, k, l):
+        """The record of this kind with these blocks."""
+        blocks = (slots, first, second) if self.random else (first, second)
+        return self.cls(n, *blocks, **_budget(self.budget, k, l))
 
 
 _KINDS = {
     "total_spin": _Kind("ts", TotalSpinDataset, collect_total_spin, _total_spin_sums,
-                        _count_total_spin, ("k",), {"k": 2}, False, lambda n, k, l: k),
-    "pairs": _Kind("ap", PairDataset, collect_all_pairs,
-                   partial(_outcome_sums, what="pair", over=0), _count_pairs,
-                   ("k",), {"k": 2}, False, lambda n, k, l: n * (n - 1) * k),
-    "split": _Kind("split", SplitSingleDataset, collect_split_single,
-                   partial(_outcome_sums, what="split"), _count_split,
-                   ("k",), {"k": 2}, True, lambda n, k, l: n * n * k),
-    "random_pairs": _Kind("rp", RandomPairDataset, collect_random_pairs,
-                          partial(_outcome_sums, what="random-pair", over=1),
-                          _count_random_pairs, ("l", "k"), {"l": 2, "k": 1}, False,
-                          lambda n, k, l: l * k),
-    "random_split": _Kind("rsplit", RandomSplitDataset, collect_random_split,
-                          partial(_outcome_sums, what="random-split"), _count_random_split,
-                          ("l", "k"), {"l": 1, "k": 2}, True, lambda n, k, l: l * k),
+                        _count_total_spin, {"k": 2}),
+    "pairs": _Kind("ap", PairDataset, collect_all_pairs, _outcome_sums, _count_pairs,
+                   {"k": 1}, collect_minimum={"k": 2}),
+    "split": _Kind("split", SplitSingleDataset, collect_split_single, _outcome_sums,
+                   _count_split, {"k": 2}, split=True),
+    "random_pairs": _Kind("rp", RandomPairDataset, collect_random_pairs, _outcome_sums,
+                          _count_random_pairs, {"l": 2, "k": 1}, random=True),
+    "random_split": _Kind("rsplit", RandomSplitDataset, collect_random_split, _outcome_sums,
+                          _count_random_split, {"l": 1, "k": 2}, random=True, split=True),
 }
 _KIND_NAMES = {kind.cls: name for name, kind in _KINDS.items()}
 
@@ -953,12 +900,7 @@ def _budget(fields, k, l) -> dict:
 def _check_collect(name, **budget):
     """Reject a budget below the minimum of the dataset kind's collector."""
     kind = _KINDS[name]
-    for key in kind.budget:
-        value, least, even = budget[key], kind.minimum[key], key == "k" and kind.k_even
-        if value is None or value < least or (even and value % 2):
-            raise ValueError(
-                f"{name} collection needs {'an even ' if even else ''}{key.upper()} >= {least}"
-            )
+    kind.check_budget(f"{name} collection", budget, kind.collect_minimum or kind.minimum)
 
 
 # --------------------------------------------------------------------------
@@ -968,6 +910,7 @@ def _check_collect(name, **budget):
 
 def compose_parameter(parameter: Parameter, n: int, j2: Mapping, dj2: Mapping):
     """Combine per-direction blocks into the parameter value."""
+    parameter = _as_parameter(parameter)
     kind = parameter.kind
     if kind is ParameterKind.A:
         return j2[Direction.X] + j2[Direction.Y] + j2[Direction.Z]
@@ -1020,6 +963,7 @@ def estimate_parameter(scheme, parameter: Parameter, datasets) -> EstimateResult
     independent must not share underlying arrays.
     """
     scheme = Scheme(scheme)
+    parameter = _as_parameter(parameter)
     row = _SCHEMES[scheme]
     record = _require(datasets, row.record, scheme)
     n = record.n_qubits
@@ -1102,13 +1046,13 @@ def sample_cost(scheme, parameter: Parameter, n: int, *, k=None, l=None) -> int:
 # --------------------------------------------------------------------------
 
 
-def _columns(kind) -> list:
+def _columns(name) -> list:
     """The CSV columns of a dataset kind, in file order."""
-    if kind == "total_spin":
+    if name == "total_spin":
         return ["direction", "rep", "outcome2m"]
-    random, split = kind.startswith("random_"), kind.endswith("split")
-    return (["slot"] * random + ["direction", "i", "j", "rep"]
-            + (["who", "who_s2"] if split else ["si2", "sj2"]))
+    kind = _KINDS[name]
+    return (["slot"] * kind.random + ["direction", "i", "j", "rep"]
+            + (["who", "who_s2"] if kind.split else ["si2", "sj2"]))
 
 
 _WHO = ("first", "second")
@@ -1138,30 +1082,29 @@ def write_dataset(ds, dest, meta=None) -> None:
         with open(dest, "w", newline="") as fh:
             write_dataset(ds, fh, meta)
         return
-    kind = _KIND_NAMES[type(ds)]
-    tokens = [f"schema={SCHEMA_VERSION}", f"kind={kind}", f"n_qubits={ds.n_qubits}"]
+    name = _KIND_NAMES[type(ds)]
+    tokens = [f"schema={SCHEMA_VERSION}", f"kind={name}", f"n_qubits={ds.n_qubits}"]
     tokens.append(f"k={ds.k}")
     if hasattr(ds, "l"):
         tokens.append(f"l={ds.l}")
     dest.write("# spinsq-dataset " + " ".join(tokens) + "\n")
     for key, value in (meta or {}).items():
         dest.write(f"# {key}={value}\n")
-    dest.write(",".join(_columns(kind)) + "\r\n")
-    if kind == "total_spin":
+    dest.write(",".join(_columns(name)) + "\r\n")
+    if name == "total_spin":
         for axis, arr in ds.outcomes.items():
             dest.write(_format_rows(f"{axis.value},%d,%d\r\n", [np.arange(ds.k), arr]))
         return
     # rows in slot order, the repetitions of a slot consecutive; a split slot
     # has its first-member series, then its second-member series
-    random, split = kind.startswith("random_"), kind.endswith("split")
-    n = ds.n_qubits
+    kind = _KINDS[name]
     for axis in ds.first:
         f, s = ds.first[axis], ds.second[axis]
-        cells = ds.slots[axis] if random else square_pairs(n) if split else ordered_pairs(n)
         slots, reps = f.shape
-        lead = "%d," * random + axis.value + ",%d,%d,%d,"  # [slot,] direction, i, j, rep
-        per_slot = [np.arange(slots)] * random + [cells[:, 0], cells[:, 1]]
-        if split:
+        cells = ds.slots[axis] if kind.random else kind.cells(np.arange(slots), ds.n_qubits)
+        lead = "%d," * kind.random + axis.value + ",%d,%d,%d,"  # [slot,] direction, i, j, rep
+        per_slot = [np.arange(slots)] * kind.random + [cells[:, 0], cells[:, 1]]
+        if kind.split:
             row = (lead + _WHO[0] + ",%d\r\n") * reps + (lead + _WHO[1] + ",%d\r\n") * reps
             rep = np.tile(np.arange(reps), 2 * slots)
             columns = [np.repeat(c, 2 * reps) for c in per_slot] + [rep, np.hstack([f, s]).ravel()]
@@ -1279,39 +1222,37 @@ def read_dataset(src):
             blocks[axis] = _cells((k,), (rep,), value, f"direction {axis.value}")
         return TotalSpinDataset(n, blocks, k=k)
 
-    random, split = kind.startswith("random_"), kind.endswith("split")
-    if random and l is None:
+    row = _KINDS[kind]
+    if row.random and l is None:
         raise ValueError(f"{kind} header needs l")
     i, j = table["i"], table["j"]
-    if random:
+    if row.random:
         slot = table["slot"]
         cells = l
     else:
-        cells = n * n if split else n * (n - 1)
+        cells = row.space(n)
         # the row count bounds N before the pair tables are built
         if cells > len(table):
             raise ValueError("a cell is missing or written twice")
-        slot = _slot_of(i, j, square_pairs(n) if split else ordered_pairs(n), n)
+        slot = _slot_of(i, j, row.cells(np.arange(cells), n), n)
     slots = {}
     first = {}
     second = {}
     for axis, rows in directions:
         what = f"direction {axis.value}"
         index = (slot[rows], table["rep"][rows])
-        if split:
+        if row.split:
             who = np.select([table["who"][rows] == w for w in _WHO], [0, 1], -1)
             first[axis], second[axis] = _cells(
                 (2, cells, k // 2), (who, *index), table["who_s2"][rows], what)
         else:
             first[axis] = _cells((cells, k), index, table["si2"][rows], what)
             second[axis] = _cells((cells, k), index, table["sj2"][rows], what)
-        if random:
+        if row.random:
             # every slot has rows now, and all of them must name the same pair
             pair = np.stack([i[rows], j[rows]], axis=1)
             slots[axis] = np.empty((l, 2), dtype=np.int64)
             slots[axis][index[0]] = pair
             if (slots[axis][index[0]] != pair).any():
                 raise ValueError(f"{what}: the rows of a slot name different pairs")
-    if random:
-        return _KINDS[kind].cls(n, slots, first, second, l=l, k=k)
-    return _KINDS[kind].cls(n, first, second, k=k)
+    return row.record(n, slots, first, second, k, l)

@@ -19,9 +19,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .schemes import (
+    _MAX_BUDGET,
     _SCHEMES,
     Parameter,
     Scheme,
+    _as_parameter,
     _budget,
     _parameter_blocks,
     compose_parameter,
@@ -68,6 +70,8 @@ def _check_budget(rule, k, l):
         raise ValueError(f"budget K must be an integer >= {rule.k_min}")
     if rule.k_even and k % 2:
         raise ValueError("budget K must be even")
+    if k > _MAX_BUDGET or (l or 0) > _MAX_BUDGET:
+        raise ValueError("budget K and L must be at most 2**62")
 
 
 # --------------------------------------------------------------------------
@@ -119,6 +123,7 @@ class VarianceReport:
 def parameter_value(mt, parameter: Parameter, *, exact=False):
     """The parameter itself (not an estimate) from the moment table."""
     mt = _table(mt)
+    parameter = _as_parameter(parameter)
     number = Fraction if exact else float
     j2 = {}
     dj2 = {}
@@ -139,6 +144,7 @@ def var_parameter(mt, scheme, parameter: Parameter, *, k=None, l=None, exact=Fal
     """
     mt = _table(mt)
     scheme = Scheme(scheme)
+    parameter = _as_parameter(parameter)
     n = mt.n_qubits
     w2 = (n - 1) * (n - 1)
     contributions = {}

@@ -458,6 +458,16 @@ def test_variance_missing_budget():
     assert "--k" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["variance", "mc"])
+def test_budget_beyond_2_62_exits_two(command):
+    # 10^400 does not fit in a float or a C long
+    argv = [command, "--state", "dicke:10:5", "--scheme", "ts", "--param", "c",
+            "--k", str(10 ** 400)]
+    rc, out, err = run(argv + ["--trials", "4"] * (command == "mc"))
+    assert (rc, out) == (2, "")
+    assert "2**62" in json.loads(err)["error"]
+
+
 def test_variance_out_file(tmp_path):
     dest = tmp_path / "var.json"
     rc, out, _ = run(["variance", "--state", "dicke:10:5", "--scheme", "rp2",
@@ -623,6 +633,28 @@ def test_config_file_rejects_unknown_key(tmp_path):
     rc, out, err = run(["variance", "--config", str(cfg)])
     assert rc == 2
     assert "bogus" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["mc", "--state", "dicke:4:2", "--scheme", "ts", "--param", "c", "--k", "5",
+      "--trials", "4"], "format=xml"),
+    (["mc", "--state", "dicke:4:2", "--scheme", "ts", "--param", "c", "--k", "5",
+      "--trials", "4"], "bins=many"),
+    # refused even where the flag wins
+    (["variance", "--state", "dicke:4:2", "--scheme", "ts", "--param", "c", "--k", "5"],
+     "k=ten"),
+    (["variance", "--state", "dicke:4:2", "--param", "c", "--k", "5"], "scheme=ap3"),
+    (["samplesize", "--scheme", "ts", "--param", "c", "--n", "4"], "gamma=high"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_config_file_value_gets_its_flags_type_and_choices(tmp_path, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    dest = tmp_path / "out.json"
+    rc, out, err = run([*argv, "--config", str(cfg), "--out", str(dest)])
+    assert (rc, out) == (2, "")
+    key = line.partition("=")[0]
+    assert f"config key {key!r}" in json.loads(err)["error"]
+    assert not dest.exists()
 
 
 def test_config_file_rejects_bad_line(tmp_path):

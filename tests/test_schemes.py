@@ -41,7 +41,7 @@ from spinsq.states import (
     Direction,
     ManyBodySinglet,
 )
-from spinsq.variance import var_parameter
+from spinsq.variance import parameter_value, var_parameter
 
 from oracles import (
     _est_deltaJ2_ap_naive,
@@ -93,6 +93,32 @@ def test_split_directions():
     assert split_directions(Parameter("b")) == (X, Y, Z)
     assert split_directions(Parameter.parse("c:kzlxmy")) == (Y,)
     assert split_directions(Parameter.parse("d:kzlxmy")) == (Z, X)
+
+
+def _record_blocks(datasets):
+    """The kinds and outcome and slot blocks of ``collect_datasets``' records."""
+    return {kind: [(name, ax.value, arr.tolist()) for name in ("first", "second", "slots")
+                   for ax, arr in getattr(ds, name, {}).items()]
+            for kind, ds in datasets.items()}
+
+
+_STATE = DepolarizedMixture(DickeState(4, 2), 0.6)
+_PARAMETER_CALLS = {
+    "var_parameter": lambda p: var_parameter(_STATE, "ap2", p, k=4),
+    "parameter_value": lambda p: parameter_value(_STATE, p),
+    "estimate_parameter": lambda p: estimate_parameter("rp2", p, collect_datasets(
+        _STATE, "rp2", Parameter("c"), np.random.default_rng(2), l=5, k=2)),
+    "split_directions": split_directions,
+    "sample_cost": lambda p: sample_cost("ap2", p, 4, k=4),
+    "collect_datasets": lambda p: _record_blocks(
+        collect_datasets(_STATE, "ap2", p, np.random.default_rng(2), k=4)),
+    "compose_parameter": lambda p: compose_parameter(p, 4, {X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}),
+}
+
+
+@pytest.mark.parametrize("call", _PARAMETER_CALLS)
+def test_parameter_given_as_string(call):
+    assert _PARAMETER_CALLS[call]("c") == _PARAMETER_CALLS[call](Parameter("c"))
 
 
 def test_pair_tables():
@@ -253,6 +279,89 @@ def test_random_pairs_reject_diagonal_slots():
     one = np.ones((2, 1), dtype=np.int64)
     with pytest.raises(ValueError, match="distinct"):
         RandomPairDataset(2, {Z: slots}, {Z: one}, {Z: one.copy()}, l=2, k=1)
+
+
+# the record minimum of each budget field, and whether K splits into K/2 + K/2
+_RECORD_RULES = {
+    "pairs": ({"k": 1}, False),
+    "split": ({"k": 2}, True),
+    "random_pairs": ({"l": 2, "k": 1}, False),
+    "random_split": ({"l": 1, "k": 2}, True),
+}
+
+
+def _record(kind, edit=lambda blocks: None, n=3, **budget):
+    """A record of ``kind`` with +1 outcomes in direction z and slot (0, 1), at
+    the record minimum unless ``budget`` says otherwise; ``edit`` may change
+    its blocks first."""
+    minimum, split = _RECORD_RULES[kind]
+    budget = {**minimum, **budget}
+    k, l = budget["k"], budget.get("l")
+    rows = l if l is not None else n * n if split else n * (n - 1)
+    runs = k // 2 if split else k
+    blocks = {name: {Z: np.ones((rows, runs), dtype=np.int64)} for name in ("first", "second")}
+    if l is not None:
+        blocks["slots"] = {Z: np.tile([0, 1], (rows, 1))}
+    edit(blocks)
+    if l is None:
+        return _KINDS[kind].cls(n, blocks["first"], blocks["second"], k=k)
+    return _KINDS[kind].cls(n, blocks["slots"], blocks["first"], blocks["second"], l=l, k=k)
+
+
+def _set(name, index, value):
+    def edit(blocks):
+        blocks[name][Z][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind", [kind for kind in _KINDS if kind != "total_spin"])
+def test_record_validation(kind):
+    minimum, split = _RECORD_RULES[kind]
+    record = _record(kind)
+    assert (record.k, getattr(record, "l", None)) == (minimum["k"], minimum.get("l"))
+    for field, least in minimum.items():
+        with pytest.raises(ValueError, match=f"{field.upper()} >= {least}"):
+            _record(kind, **{field: least - 1})
+    if split:
+        with pytest.raises(ValueError, match="even"):
+            _record(kind, k=3)
+
+    def one_slot_short(blocks):
+        blocks["second"][Z] = blocks["second"][Z][1:]
+
+    with pytest.raises(ValueError, match="expected shape"):
+        _record(kind, one_slot_short)
+    with pytest.raises(ValueError, match="±1"):
+        _record(kind, _set("first", (0, 0), 2))
+
+    def other_direction(blocks):
+        blocks["second"] = {X: blocks["second"][Z]}
+
+    with pytest.raises(ValueError, match="different directions"):
+        _record(kind, other_direction)
+    if "l" in minimum:
+        with pytest.raises(ValueError, match="slots must be"):
+            _record(kind, _set("slots", (0, 1), 3))  # N = 3
+        diagonal = _set("slots", 0, [1, 1])
+        if split:
+            assert _record(kind, diagonal).slots[Z][0].tolist() == [1, 1]
+        else:
+            with pytest.raises(ValueError, match="distinct"):
+                _record(kind, diagonal)
+
+
+def test_record_blocks_must_be_two_dimensional():
+    # K and L left to be read from a block's shape
+    slots = {Z: np.array([[0, 1], [1, 0]])}
+
+    def flat():
+        return {Z: np.ones(2, dtype=np.int64)}
+
+    for make in (lambda: PairDataset(2, flat(), flat()),
+                 lambda: RandomPairDataset(2, slots, flat(), flat()),
+                 lambda: RandomSplitDataset(2, slots, flat(), flat())):
+        with pytest.raises(ValueError, match="2-D"):
+            make()
 
 
 def test_missing_direction_is_named():

@@ -29,6 +29,7 @@ from spinsq.states import (
     moment_table,
     total_spin_distribution,
 )
+from spinsq.hypothesis import max_variance_over_noise
 from spinsq.variance import UnsupportedAnalyticCaseError, parameter_value, var_parameter
 
 from oracles import (
@@ -109,6 +110,17 @@ def test_budget_validation():
         var_Jsq_split(D105, X, 5)
     with pytest.raises(ValueError, match="L"):
         var_deltaJ2_rp(D105, X, 1)
+
+
+def test_budget_beyond_2_62_is_refused():
+    huge = 10 ** 400  # too large for a float
+    with pytest.raises(ValueError, match=r"at most 2\*\*62"):
+        var_parameter(D105, "ts", Parameter("c"), k=huge)
+    with pytest.raises(ValueError, match=r"at most 2\*\*62"):
+        var_parameter(D105, "rp2", Parameter("c"), l=2 ** 62 + 1, k=2)
+    with pytest.raises(ValueError, match=r"at most 2\*\*62"):
+        max_variance_over_noise("ts", Parameter("c"), 10, k=huge)
+    assert var_parameter(D105, "ts", Parameter("c"), k=2 ** 62).value > 0
 
 
 # ---------------------------------------------------------------- reference table
